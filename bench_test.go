@@ -259,8 +259,8 @@ func BenchmarkPreparedMatch10k(b *testing.B) {
 // BenchmarkPrepare10k contrasts sequential and parallel PrepareTarget
 // on the 10k-row catalog: per-column feature extraction with the
 // deterministic dictionary merge, concurrent with per-domain classifier
-// training. A fresh Matcher per iteration keeps the artifact cache
-// cold, so every iteration pays the full preparation bill.
+// training. Every Prepare builds fresh artifacts, so every iteration
+// pays the full preparation bill.
 func BenchmarkPrepare10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k-catalog fixture skipped in -short mode (CI runs it in a dedicated profiled step)")
@@ -525,8 +525,8 @@ func BenchmarkUpdate10k(b *testing.B) {
 		schema := updated.Schema()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// A fresh matcher per iteration keeps the artifact cache
-			// cold, so every iteration pays the full from-scratch bill.
+			// Every Prepare builds fresh artifacts, so every iteration
+			// pays the full from-scratch bill.
 			m, err := ctxmatch.New(ctxmatch.WithParallelism(1))
 			if err != nil {
 				b.Fatal(err)

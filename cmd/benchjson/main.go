@@ -60,8 +60,7 @@ type report struct {
 	Fixture   fixture `json:"fixture"`
 	ColdNsOp  int64   `json:"cold_ns_op"`
 	// PrepareNs benchmarks Matcher.Prepare at the machine's full worker
-	// budget (fresh matcher per iteration, so the artifact cache never
-	// hits); PrepareSeqNs is the same preparation at parallelism 1, and
+	// budget; PrepareSeqNs is the same preparation at parallelism 1, and
 	// PrepareSpeedup their ratio — ~1.0 on a single-CPU box, the
 	// table/column fan-out's win elsewhere.
 	PrepareNs      int64   `json:"prepare_ns"`
@@ -172,8 +171,7 @@ func main() {
 		}
 	})
 
-	// Preparation cost: a fresh Matcher per iteration keeps the artifact
-	// cache cold so every iteration pays the full scan-train-compile
+	// Preparation cost: every Prepare pays the full scan-train-compile
 	// bill, once at the full worker budget and once sequentially.
 	benchPrepare := func(workers int) int64 {
 		r := testing.Benchmark(func(b *testing.B) {
@@ -441,10 +439,10 @@ func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository
 
 // benchUpdate prepares a catalog, applies a single-table delta (one
 // table replaced with a row-changed copy) through Target.Update, and
-// times that against a from-scratch Prepare of the updated catalog with
-// a cold artifact cache. full selects the 10k-row enterprise fixture —
-// the scale where re-preparing on every table change stops being an
-// option; quick runs get a 4-pair miniature.
+// times that against a from-scratch Prepare of the updated catalog. full
+// selects the 10k-row enterprise fixture — the scale where re-preparing
+// on every table change stops being an option; quick runs get a 4-pair
+// miniature.
 func benchUpdate(full bool) (updateNs, prepareNs int64, speedup float64) {
 	cfg := datagen.InventoryConfig{Rows: 80, TargetRows: 40, Gamma: 4, Target: datagen.Ryan, Seed: 1, Scale: 4}
 	if full {

@@ -113,10 +113,6 @@ type Options struct {
 	// for any value: every table draws from its own RNG derived from
 	// Seed and results are merged in schema order.
 	Parallelism int
-	// Cache, when non-nil, memoizes per-target-schema artifacts (trained
-	// target classifiers, precomputed column features) across runs. A
-	// long-lived Matcher supplies one; one-shot calls leave it nil.
-	Cache *TargetCache
 }
 
 // DefaultOptions returns the paper's default parameters: τ=0.5, ω=5,

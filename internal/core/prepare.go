@@ -42,10 +42,9 @@ type PreparedTarget struct {
 // PrepareTarget eagerly resolves the target-side artifacts for tgt under
 // opt — the ID-keyed column feature layer and its shared frozen gram
 // dictionary, plus (under TgtClassInfer) the per-domain target
-// classifiers trained and compiled to their frozen form. When opt.Cache
-// is set the artifacts are taken from (and stored into) the cache, so
-// PrepareTarget after a previous run against the same catalog is free; a
-// nil cache computes fresh. An empty or nil target returns
+// classifiers trained and compiled to their frozen form. Every call
+// builds fresh artifacts; callers that match many sources against one
+// catalog hold the returned handle. An empty or nil target returns
 // ErrEmptySchema; an already-canceled context returns before any work is
 // spent on the catalog.
 func PrepareTarget(ctx context.Context, tgt *relational.Schema, opt Options) (*PreparedTarget, error) {
@@ -61,7 +60,7 @@ func PrepareTarget(ctx context.Context, tgt *relational.Schema, opt Options) (*P
 	// The preparation itself fans across the run's worker budget:
 	// per-column feature extraction (merged deterministically into the
 	// shared dictionary) concurrent with per-domain classifier training.
-	pt.arts = opt.Cache.artifactsFor(pt.eng, tgt, opt.Inference == TgtClassInfer, opt.Parallelism)
+	pt.arts = buildTargetArtifacts(pt.eng, tgt, opt.Inference == TgtClassInfer, opt.Parallelism)
 	return pt, nil
 }
 

@@ -228,7 +228,7 @@ type Gauge struct {
 // NewGauge registers an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(name, &gaugeFam{name: name, help: help, read: g.Value})
+	r.register(name, &gaugeFam{name: name, help: help, typ: "gauge", read: g.Value})
 	return g
 }
 
@@ -236,7 +236,14 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // time — for values another subsystem already tracks (registry size,
 // index hit rate).
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.register(name, &gaugeFam{name: name, help: help, read: fn})
+	r.register(name, &gaugeFam{name: name, help: help, typ: "gauge", read: fn})
+}
+
+// NewCounterFunc registers a counter whose value is read from fn at
+// scrape time — for monotonic totals another subsystem already tracks.
+// fn must never decrease. By convention name ends in `_total`.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
+	r.register(name, &gaugeFam{name: name, help: help, typ: "counter", read: fn})
 }
 
 // Set stores v.
@@ -256,12 +263,14 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// gaugeFam is a single-series family read through a function: a gauge,
+// or a counter whose total another subsystem keeps (typ says which).
 type gaugeFam struct {
-	name, help string
-	read       func() float64
+	name, help, typ string
+	read            func() float64
 }
 
-func (f *gaugeFam) meta() (string, string, string) { return f.name, f.help, "gauge" }
+func (f *gaugeFam) meta() (string, string, string) { return f.name, f.help, f.typ }
 func (f *gaugeFam) series() []sample {
 	return []sample{{value: formatFloat(f.read())}}
 }

@@ -70,7 +70,21 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 	wantLines(t, got,
 		"# TYPE inflight gauge",
 		"inflight 7.5",
+		"# TYPE hit_rate gauge",
 		"hit_rate 0.25",
+	)
+}
+
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	n := 41.0
+	r.NewCounterFunc("probes_total", "Probes served.", func() float64 { return n })
+	n++
+	got := render(t, r)
+	wantLines(t, got,
+		"# HELP probes_total Probes served.",
+		"# TYPE probes_total counter",
+		"probes_total 42",
 	)
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
@@ -132,21 +131,21 @@ func BenchmarkMatchAny32(b *testing.B) {
 	}
 }
 
-// BenchmarkRetrieve isolates the retrieval walk itself — scoring all
-// eight catalogs' candidate indexes under the advancing top-k floor,
-// no exact matches.
+// BenchmarkRetrieve isolates the production retrieval pass itself —
+// the fused bound pass over all eight catalogs, then the floored scans
+// under the advancing top-k floor, no exact matches.
 func BenchmarkRetrieve(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fleet fixture skipped in -short mode")
 	}
 	f := newTestFleet(b, 1)
-	entries := f.Entries()
+	n := f.Len()
 	src := sharedFleet(b).datasets["aaron-1"].Source
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scores := retrieve(entries, src, 3, 0, time.Time{})
-		if len(scores) != len(entries) {
+		scores := fusedScores(f, src, 3, 0)
+		if len(scores) != n {
 			b.Fatal("short score list")
 		}
 	}

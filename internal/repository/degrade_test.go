@@ -4,6 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,12 +270,34 @@ func TestRemovedClearsBreakerState(t *testing.T) {
 	}
 }
 
-// TestCompactionDoesNotBlockMatchAny: with a writer parked on the
-// fleet lock (the worst case of a fused-index compaction), MatchAny
-// must still answer — via the per-catalog fallback over the last
-// published entry snapshot — with results identical to the fused path,
-// not time out waiting for the lock.
-func TestCompactionDoesNotBlockMatchAny(t *testing.T) {
+// reportJSON canonicalizes a whole match-any report — ranked results
+// (with each Result's wall-clock Elapsed zeroed), retrieval scores
+// including Pruned flags and partial evidence, counts and skips — for
+// bit-identity comparison.
+func reportJSON(t *testing.T, rep *Report) string {
+	t.Helper()
+	c := *rep
+	c.Ranked = make([]CatalogMatch, len(rep.Ranked))
+	for i, cm := range rep.Ranked {
+		res := *cm.Result
+		res.Elapsed = 0
+		cm.Result = &res
+		c.Ranked[i] = cm
+	}
+	b, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatalf("marshaling report: %v", err)
+	}
+	return string(b)
+}
+
+// TestMatchAnyWaitsForWriter: with a writer parked on the fleet lock
+// (what a long fused-index compaction inside Installed looks like to
+// readers), MatchAny waits for it instead of answering from some other
+// path, and once the writer leaves returns a report identical — ranked
+// results, retrieval scores, Pruned flags and evidence — to an
+// uncontended MatchAny.
+func TestMatchAnyWaitsForWriter(t *testing.T) {
 	f := newTestFleet(t, 1)
 	src := sharedFleet(t).datasets["aaron-1"].Source
 
@@ -279,48 +305,138 @@ func TestCompactionDoesNotBlockMatchAny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := f.Bypasses()
 
-	// Park a writer on the fleet lock, exactly what a long compaction
-	// inside Installed looks like to readers.
 	f.mu.Lock()
 	done := make(chan *Report, 1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		rep, err := f.MatchAny(ctx, src, Query{K: 3})
+		rep, err := f.MatchAny(context.Background(), src, Query{K: 3})
 		if err != nil {
 			t.Error(err)
 		}
 		done <- rep
 	}()
-	var rep *Report
+	// No event marks "the reader is blocked on the lock"; give it a
+	// moment to (wrongly) answer while the writer holds the lock.
 	select {
-	case rep = <-done:
-	case <-time.After(10 * time.Second):
+	case <-done:
 		f.mu.Unlock()
-		t.Fatal("MatchAny blocked behind the fleet write lock")
+		t.Fatal("MatchAny answered while a writer held the fleet lock")
+	case <-time.After(50 * time.Millisecond):
 	}
 	f.mu.Unlock()
 
+	var rep *Report
+	select {
+	case rep = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("MatchAny did not finish after the writer released the lock")
+	}
 	if rep == nil {
 		t.Fatal("no report")
 	}
-	if got := f.Bypasses(); got != before+1 {
-		t.Fatalf("Bypasses = %d, want %d", got, before+1)
+	if got, w := reportJSON(t, rep), reportJSON(t, want); got != w {
+		t.Fatalf("contended report diverged from uncontended one:\n got %s\nwant %s", got, w)
 	}
-	if rep.Degraded {
-		t.Fatalf("fallback path degraded the response: %+v", rep.Skipped)
+}
+
+// TestMatchAnySeesPublishedStates races readers against a writer that
+// loops Installed/Removed: every report's retrieval set of (name,
+// generation) pairs must equal one state the writer published, never a
+// mix of two, and every ranked catalog must come from that set.
+func TestMatchAnySeesPublishedStates(t *testing.T) {
+	fx := sharedFleet(t)
+	f := newTestFleet(t, 1)
+	src := fx.datasets["aaron-1"].Source
+
+	gens := map[string]int{}
+	for i, spec := range fleetSpecs {
+		gens[spec.name] = i + 1
 	}
-	if len(rep.Ranked) != len(want.Ranked) {
-		t.Fatalf("fallback ranked %d, fused %d", len(rep.Ranked), len(want.Ranked))
-	}
-	for i := range rep.Ranked {
-		if rep.Ranked[i].Name != want.Ranked[i].Name {
-			t.Fatalf("fallback rank %d = %s, fused %s", i, rep.Ranked[i].Name, want.Ranked[i].Name)
+	stateKey := func(pairs map[string]int) string {
+		names := make([]string, 0, len(pairs))
+		for name := range pairs {
+			names = append(names, name)
 		}
-		if got, w := resultJSON(t, rep.Ranked[i].Result), resultJSON(t, want.Ranked[i].Result); got != w {
-			t.Errorf("catalog %s: fallback result diverged from fused path", rep.Ranked[i].Name)
+		slices.Sort(names)
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s@%d;", name, pairs[name])
+		}
+		return b.String()
+	}
+	var pubMu sync.Mutex
+	published := map[string]bool{stateKey(gens): true}
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		gen := len(fleetSpecs)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			spec := fleetSpecs[i%len(fleetSpecs)]
+			remove := i%3 == 0
+			// Record the next state before publishing it, so a reader
+			// can never observe a state the set does not yet hold.
+			if remove {
+				delete(gens, spec.name)
+			} else {
+				gen++
+				gens[spec.name] = gen
+			}
+			pubMu.Lock()
+			published[stateKey(gens)] = true
+			pubMu.Unlock()
+			if remove {
+				f.Removed(spec.name)
+			} else {
+				f.Installed(spec.name, gen, fx.targets[spec.name])
+			}
+		}
+	}()
+
+	const nReaders, perReader = 2, 6
+	var readers sync.WaitGroup
+	seen := make(chan string, nReaders*perReader) // one key per report
+	for w := 0; w < nReaders; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < perReader; i++ {
+				rep, err := f.MatchAny(context.Background(), src, Query{K: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pairs := map[string]int{}
+				for _, cs := range rep.Retrieval {
+					pairs[cs.Name] = cs.Generation
+				}
+				if len(pairs) != rep.Considered || len(rep.Retrieval) != rep.Considered {
+					t.Errorf("retrieval lists %d catalogs (%d distinct), considered %d",
+						len(rep.Retrieval), len(pairs), rep.Considered)
+				}
+				for _, cm := range rep.Ranked {
+					if g, ok := pairs[cm.Name]; !ok || g != cm.Generation {
+						t.Errorf("ranked %s@%d is not in the retrieval set", cm.Name, cm.Generation)
+					}
+				}
+				seen <- stateKey(pairs)
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	close(seen)
+	for key := range seen {
+		if !published[key] {
+			t.Errorf("report retrieval set %q matches no published state", key)
 		}
 	}
 }

@@ -5,19 +5,19 @@
 //
 // The expensive, exact answer — run the full prepared match against
 // every catalog — degrades linearly with fleet size. The Fleet instead
-// keeps a retrieval view over every catalog's existing candidate
-// index (the inverted gram-ID postings each prepared handle already
-// pins) and scores the source's columns against all of them cheaply:
+// fuses every catalog's existing candidate index (the inverted gram-ID
+// postings each prepared handle already pins) into one registry-global
+// index and scores the source's columns against all of them cheaply:
 // per catalog, the evidence score is the mean over source string
 // columns of the best cosine any of that catalog's columns achieves.
-// Catalogs are scored in deterministic name order under an advancing
-// top-k floor — once k catalogs have been scored, the k-th best
-// evidence so far becomes a WAND-style floor handed to
-// tokenize.Index.ScoreColumnsFloored, and a catalog that provably
-// cannot reach it is pruned without finishing its scan. The exact
-// prepared match then runs only on the survivors.
+// One fused pass bounds every catalog at once; catalogs are then
+// scored best bound first under an advancing top-k floor — once k
+// catalogs have been scored, the k-th best evidence so far becomes a
+// WAND-style floor handed to tokenize.Index.ScoreColumnsFloored, and a
+// catalog that provably cannot reach it is pruned without finishing
+// its scan. The exact prepared match then runs only on the survivors.
 //
-// Pruning is conservative and the walk order fixed, so retrieval is
+// Pruning is conservative and the visit order fixed, so retrieval is
 // deterministic: the survivor set is exactly the true top-k by
 // evidence (ties broken by name), and each survivor's full Result is
 // bit-identical to what a direct Target.Match would return.
@@ -25,8 +25,11 @@
 // A Fleet tracks registry mutations through Installed/Removed — the
 // same atomic-swap semantics as the catalog registry: entries are
 // immutable, a re-install replaces the entry atomically, and in-flight
-// retrievals finish on the entry snapshot they already took, so an
-// eviction mid-retrieval never fails a request.
+// matches finish on the entry snapshot they already took, so an
+// eviction mid-request never fails it. Retrieval has one path: the
+// fused pass, run under the fleet's read lock, so a reader that meets
+// an install or a compaction waits for it and then sees exactly the
+// state the writer published.
 package repository
 
 import (
@@ -75,19 +78,19 @@ func (e *Entry) Indexed() bool { return e.feats.Index() != nil }
 // candidate indexes, kept consistent with the owning registry through
 // Installed/Removed. All methods are safe for concurrent use; the
 // fused index is maintained under the write lock and probed under the
-// read lock (its global dictionary stays unfrozen across installs).
+// read lock (its global dictionary stays unfrozen across installs), so
+// every retrieval sees one published state of entries and index
+// together.
 type Fleet struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
 	fused   *tokenize.FusedIndex
 
 	// snap is the last published name-ordered entry slice, maintained
-	// by Installed/Removed under the write lock and read lock-free, so
-	// retrievals never queue behind a fused-index compaction.
+	// by Installed/Removed under the write lock. Retrievals read it
+	// under the read lock, consistent with the fused index; listings
+	// and exhaustive matches read it lock-free.
 	snap atomic.Pointer[[]*Entry]
-	// bypasses counts retrievals served by the per-catalog fallback
-	// path because a writer held the fleet lock.
-	bypasses atomic.Int64
 
 	// faults, when non-nil, is consulted at the "fleet.match" point
 	// before each per-catalog exact match. Set before serving traffic.
@@ -191,20 +194,10 @@ func (f *Fleet) publishLocked() {
 	f.snap.Store(&out)
 }
 
-// entriesLocked returns the installed catalogs in ascending name
-// order — the deterministic base order of every retrieval. Callers
-// hold at least the read lock.
-func (f *Fleet) entriesLocked() []*Entry {
-	if p := f.snap.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Entries returns the installed catalogs in ascending name order: the
-// last published immutable snapshot, read without taking the fleet
-// lock so callers never queue behind an install or a fused-index
-// compaction.
+// Entries returns the installed catalogs in ascending name order — the
+// deterministic base order of every retrieval: the last published
+// immutable snapshot, read without taking the fleet lock. Under the
+// read lock it describes the same state as the fused index.
 func (f *Fleet) Entries() []*Entry {
 	if p := f.snap.Load(); p != nil {
 		return *p
@@ -314,9 +307,10 @@ func (f *Fleet) OpenBreakers() int {
 	return n
 }
 
-// Bypasses counts retrievals served by the per-catalog fallback path
-// because a writer (install, removal, compaction) held the fleet lock.
-func (f *Fleet) Bypasses() int64 { return f.bypasses.Load() }
+// Bypasses always returns 0: every retrieval runs the fused pass under
+// the fleet's read lock. It is kept because the perfbench benchmark
+// reports its delta.
+func (f *Fleet) Bypasses() int64 { return 0 }
 
 // DefaultK is the survivor count when a query does not set one.
 const DefaultK = 3
@@ -480,25 +474,13 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 		entries = f.Entries()
 		survivors = entries
 	} else {
-		var scores []CatalogScore
 		// The fused pass reads the unfrozen global dictionary and the
 		// slot table, so it runs under the read lock; the exact matches
 		// below run on the immutable survivor snapshot outside it.
-		if f.mu.TryRLock() {
-			entries = f.entriesLocked()
-			scores = f.fusedRetrieve(entries, src, q.K, q.MinScore, retrieveDeadline)
-			f.mu.RUnlock()
-		} else {
-			// A writer holds the fleet — an install, a removal, or a
-			// fused-index compaction. Rather than queue behind it into
-			// the request's deadline, serve this retrieval from the
-			// last published entry snapshot through the per-catalog
-			// path, which touches no fused state and returns the same
-			// survivors and evidence.
-			f.bypasses.Add(1)
-			entries = f.Entries()
-			scores = retrieve(entries, src, q.K, q.MinScore, retrieveDeadline)
-		}
+		f.mu.RLock()
+		entries = f.Entries()
+		scores := f.fusedRetrieve(entries, src, q.K, q.MinScore, retrieveDeadline)
+		f.mu.RUnlock()
 		report.Retrieval = scores
 		evidence = make(map[string]float64, len(scores))
 		for _, cs := range scores {

@@ -14,24 +14,31 @@ import (
 // every catalog's per-column WAND bound simultaneously. Catalogs are
 // then visited in descending aggregate-bound order — the most
 // promising catalogs establish the top-k floor first, so the floor is
-// sharp for the long tail — and each catalog runs the same needed-floor
-// column walk as the per-catalog path, except that a column whose
-// fused bound falls below the walk's floor is skipped without building
-// its vector or touching the catalog's postings: the bound already
-// proves what the floored scan would have (best < floor).
+// sharp for the long tail. Ties break by name, so the walk is
+// deterministic.
 //
-// Every non-pruned catalog's evidence is exact and computed by the
-// catalog's own index (LocalVector feeds it the same in-vocabulary
-// (ID, count) pairs and norm the per-catalog rekeying produces), so
-// the survivor set is the true top-k by evidence and each survivor's
-// evidence is bit-identical to the per-catalog path's. Only the
-// Pruned flags may differ from the name-order walk: the fused visit
-// order prunes strictly under the same conservative bound, but with a
-// floor that sharpens sooner.
+// Per source column j of n the walk derives the contribution the
+// column must at least achieve for the catalog to still reach the
+// floor even if all remaining columns scored a perfect 1 (`needed`),
+// and scans the catalog's own index floored at max(minScore, needed).
+// A column whose fused bound already falls below that floor is skipped
+// without building its vector or touching the catalog's postings: the
+// bound proves what the floored scan would have (best < floor). The
+// floored scan returns exact values at or above its floor, so a
+// returned best is the column's true best; a zero proves the true best
+// is below the floor, which either contributes exactly 0 (the floor
+// was minScore) or proves the catalog cannot reach the k-th best
+// evidence, and it is pruned.
+//
+// Every non-pruned catalog's evidence is therefore exact and computed
+// by the catalog's own index (LocalVector feeds it the in-vocabulary
+// (ID, count) pairs and norm of the column), so the survivor set is
+// the true top-k by evidence.
 //
 // A non-zero deadline is the retrieval stage's budget: once it passes,
-// every not-yet-scored indexed catalog is marked Skipped, exactly as in
-// the per-catalog path.
+// every not-yet-scored indexed catalog is marked Skipped (unindexed
+// catalogs carry no scan and still pass through), so the caller can
+// degrade instead of blowing the whole request deadline here.
 //
 // Must be called with the fleet's read lock held: the fused pass reads
 // the unfrozen global dictionary and the slot table, which installs

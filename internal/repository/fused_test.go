@@ -15,7 +15,7 @@ import (
 func fusedScores(f *Fleet, src *ctxmatch.Schema, k int, minScore float64) []CatalogScore {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.fusedRetrieve(f.entriesLocked(), src, k, minScore, time.Time{})
+	return f.fusedRetrieve(f.Entries(), src, k, minScore, time.Time{})
 }
 
 // TestFusedRetrieveAgreesWithLegacy is the fused index's A/B property

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"ctxmatch"
 	"ctxmatch/internal/relational"
@@ -13,8 +12,8 @@ import (
 )
 
 // gramCount is one (gram, count) pair of a source column's trigram
-// multiset, in gram-string form so it can be re-keyed into any
-// catalog's interned ID space.
+// multiset, in gram-string form so it can be keyed into the fused
+// index's global ID space.
 type gramCount struct {
 	g string
 	c float64
@@ -74,156 +73,9 @@ func extractColumns(src *ctxmatch.Schema, maxValues int) []srcColumn {
 	return out
 }
 
-// vector re-keys a source column profile into the entry's interned ID
-// space: grams known to the catalog's dictionary take their dense ID,
-// unknown grams take per-build overflow IDs past the dictionary — out
-// of every posting list's range, so they can never intersect, but still
-// part of the norm — exactly the convention the matching path's
-// VectorBuilder uses for out-of-vocabulary grams.
-func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
-	if len(col.grams) == 0 {
-		return tokenize.NewIDVector(nil, nil, 0)
-	}
-	d := e.feats.Dict()
-	base := uint32(d.Len())
-	overflow := uint32(0)
-	type pair struct {
-		id uint32
-		c  float64
-	}
-	pairs := make([]pair, len(col.grams))
-	for i, gc := range col.grams {
-		id, ok := d.Lookup(gc.g)
-		if !ok {
-			id = base + overflow
-			overflow++
-		}
-		pairs[i] = pair{id, gc.c}
-	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	ids := make([]uint32, len(pairs))
-	counts := make([]float64, len(pairs))
-	for i, p := range pairs {
-		ids[i] = p.id
-		counts[i] = p.c
-	}
-	return tokenize.NewIDVector(ids, counts, col.norm)
-}
-
-// retrieve scores every entry's catalog against the source and returns
-// the per-catalog outcomes ordered survivors-first (evidence desc, name
-// asc), pruned catalogs last by name.
-//
-// The walk is deterministic — entries arrive in name order — and the
-// top-k floor advances monotonically: once k catalogs have exact
-// evidence, the k-th best so far floors every later catalog. Per source
-// column j of n the walk derives the contribution the column must at
-// least achieve for the catalog to still reach the floor even if all
-// remaining columns scored a perfect 1 (`needed`), and passes
-// max(minScore, needed) to ScoreColumnsFloored. The floored scan
-// returns exact values at or above its floor, so a returned best ≥
-// floor is the column's true best; a returned zero proves the true
-// best is below the floor, which either contributes exactly 0 (floor
-// was minScore — sub-threshold scores are discarded anyway) or proves
-// the whole catalog cannot reach the k-th best evidence and is pruned.
-// Either way every non-pruned catalog's evidence is exact, so the
-// survivor set is the true top-k.
-//
-// A non-zero deadline is the retrieval stage's budget: once it passes,
-// every not-yet-scored indexed catalog is marked Skipped (unindexed
-// catalogs carry no scan and still pass through), so the caller can
-// degrade instead of blowing the whole request deadline here.
-func retrieve(entries []*Entry, src *ctxmatch.Schema, k int, minScore float64, deadline time.Time) []CatalogScore {
-	// Source profiles are keyed by the catalog's sampling cap; fleets
-	// prepared by one matcher share a single cap, so this usually
-	// extracts once.
-	profiles := map[int][]srcColumn{}
-	colsFor := func(maxValues int) []srcColumn {
-		if cols, ok := profiles[maxValues]; ok {
-			return cols
-		}
-		cols := extractColumns(src, maxValues)
-		profiles[maxValues] = cols
-		return cols
-	}
-
-	floor := newTopK(k)
-	scores := make([]CatalogScore, 0, len(entries))
-	var row []float64
-	for _, e := range entries {
-		cs := CatalogScore{Name: e.Name, Generation: e.Generation}
-		ix := e.feats.Index()
-		if ix == nil {
-			cs.Unindexed = true
-			scores = append(scores, cs)
-			continue
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			cs.Skipped = true
-			scores = append(scores, cs)
-			continue
-		}
-		cols := colsFor(e.feats.MaxValues())
-		n := len(cols)
-		if cap(row) < ix.Columns() {
-			row = make([]float64, ix.Columns())
-		}
-		var sum float64
-		pruned := false
-		for j := range cols {
-			rem := float64(n - 1 - j)
-			needed := floor.kth()*float64(n) - sum - rem
-			if needed > 1 {
-				// Even a perfect remaining scan cannot reach the floor.
-				pruned = true
-				break
-			}
-			f := max(minScore, needed)
-			vec := e.vector(&cols[j])
-			r := row[:ix.Columns()]
-			ix.ScoreColumnsFloored(vec, r, f)
-			best := 0.0
-			for _, x := range r {
-				if x > best {
-					best = x
-				}
-			}
-			if best > 0 {
-				sum += best
-				continue
-			}
-			// The floored scan proved the column's true best is below f.
-			if needed > minScore {
-				pruned = true
-				break
-			}
-			// f was minScore: the column's best is sub-threshold and
-			// contributes exactly 0.
-		}
-		cs.Pruned = pruned
-		if !pruned && n > 0 {
-			cs.Evidence = sum / float64(n)
-			floor.push(cs.Evidence)
-		}
-		scores = append(scores, cs)
-	}
-
-	sortCatalogScores(scores)
-	return scores
-}
-
 // sortCatalogScores orders retrieval outcomes survivors-first
 // (evidence desc, name asc), then pruned catalogs, then
-// budget-skipped ones — the shared presentation order of both
-// retrieval paths.
+// budget-skipped ones — the order Report.Retrieval presents.
 func sortCatalogScores(scores []CatalogScore) {
 	sort.SliceStable(scores, func(i, j int) bool {
 		a, b := scores[i], scores[j]

@@ -2,9 +2,7 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -416,150 +414,5 @@ func TestNoGoroutineLeakAfterDrain(t *testing.T) {
 				runtime.NumGoroutine(), base, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestReplicatorRetries: the replication client retries transport
-// blips, 5xx and 429 (honoring Retry-After) with bounded backoff, and
-// gives up conclusively on a real 4xx.
-func TestReplicatorRetries(t *testing.T) {
-	var gets, puts int
-	payload := []byte("snapshot-bytes")
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			gets++
-			switch gets {
-			case 1:
-				w.WriteHeader(http.StatusInternalServerError)
-			case 2:
-				w.Header().Set("Retry-After", "0")
-				w.WriteHeader(http.StatusTooManyRequests)
-			default:
-				w.Write(payload)
-			}
-		case http.MethodPut:
-			puts++
-			body, _ := io.ReadAll(r.Body)
-			if !bytes.Equal(body, payload) {
-				t.Errorf("push body = %q, want %q (attempt %d)", body, payload, puts)
-			}
-			if puts < 3 {
-				w.WriteHeader(http.StatusBadGateway)
-				return
-			}
-			w.WriteHeader(http.StatusOK)
-		}
-	}))
-	defer peer.Close()
-
-	rp := &Replicator{Base: peer.URL, Backoff: time.Millisecond}
-	got, err := rp.Pull(context.Background(), "inv")
-	if err != nil {
-		t.Fatalf("Pull: %v", err)
-	}
-	if !bytes.Equal(got, payload) || gets != 3 {
-		t.Fatalf("Pull = %q after %d attempts, want %q after 3", got, gets, payload)
-	}
-	if err := rp.Push(context.Background(), "inv", payload); err != nil {
-		t.Fatalf("Push: %v", err)
-	}
-	if puts != 3 {
-		t.Fatalf("Push took %d attempts, want 3", puts)
-	}
-
-	// A real 4xx is conclusive: one attempt, no retry loop.
-	notFound := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets++
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	defer notFound.Close()
-	gets = 0
-	rp2 := &Replicator{Base: notFound.URL, Backoff: time.Millisecond}
-	if _, err := rp2.Pull(context.Background(), "inv"); err == nil {
-		t.Fatal("Pull of a missing catalog succeeded")
-	}
-	if gets != 1 {
-		t.Fatalf("404 Pull took %d attempts, want 1", gets)
-	}
-}
-
-// TestReplicatorExhaustsAttempts: a peer that never recovers exhausts
-// the attempt budget and reports the last failure.
-func TestReplicatorExhaustsAttempts(t *testing.T) {
-	var calls int
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer peer.Close()
-	rp := &Replicator{Base: peer.URL, Attempts: 3, Backoff: time.Millisecond}
-	_, err := rp.Pull(context.Background(), "inv")
-	if err == nil {
-		t.Fatal("Pull against a dead peer succeeded")
-	}
-	if calls != 3 {
-		t.Fatalf("made %d attempts, want 3", calls)
-	}
-	if !strings.Contains(err.Error(), "gave up after 3 attempts") {
-		t.Fatalf("err = %v, want attempt-budget message", err)
-	}
-}
-
-// TestReplicatorPullInto replicates a catalog between two live daemons
-// through a flaky proxy, proving end-to-end that retried pulls install
-// a working, persisted catalog — and that invalid pulled bytes are
-// rejected before touching the registry.
-func TestReplicatorPullInto(t *testing.T) {
-	srcTS, _ := newTestServer(t, nil)
-	cat, srcDoc := fixtureDocs(t, 1)
-	if status, _ := putCatalog(t, srcTS, "inv", cat); status != http.StatusCreated {
-		t.Fatal("PUT failed")
-	}
-	// The flaky hop: first attempt 503s, then proxies to the source.
-	var tries int
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tries++
-		if tries == 1 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		resp, err := http.Get(srcTS.URL + r.URL.Path)
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	defer proxy.Close()
-
-	dir := t.TempDir()
-	dstTS, dstSvc := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
-	rp := &Replicator{Base: proxy.URL, Backoff: time.Millisecond}
-	if err := rp.PullInto(context.Background(), dstSvc, "inv"); err != nil {
-		t.Fatalf("PullInto: %v", err)
-	}
-	if _, err := os.Stat(snapshotPath(dir, "inv")); err != nil {
-		t.Errorf("replicated catalog not persisted: %v", err)
-	}
-	resp, body := doJSON(t, http.MethodPost, dstTS.URL+"/v1/catalogs/inv/match",
-		map[string]any{"source": srcDoc})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("match on replicated catalog = %d: %s", resp.StatusCode, body)
-	}
-
-	// Corrupt bytes out of a peer must never reach the registry.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("not a snapshot"))
-	}))
-	defer bad.Close()
-	rp2 := &Replicator{Base: bad.URL, Backoff: time.Millisecond}
-	if err := rp2.PullInto(context.Background(), dstSvc, "evil"); err == nil {
-		t.Fatal("PullInto accepted invalid snapshot bytes")
-	}
-	if _, ok := dstSvc.Registry().Get("evil"); ok {
-		t.Fatal("invalid replicated catalog installed")
 	}
 }

@@ -351,8 +351,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ctxmatchd_degraded_total 0",
 		"ctxmatchd_snapshot_quarantined_total 0",
 		"ctxmatchd_breaker_open 0",
-		"ctxmatchd_fused_bypass_total 0",
 		"# TYPE ctxmatchd_http_request_duration_seconds histogram",
+		"# TYPE ctxmatchd_fused_probes_total counter",
+		"# TYPE ctxmatchd_fused_bound_skips_total counter",
+		"# TYPE ctxmatchd_fused_slots gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q", want)

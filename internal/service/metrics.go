@@ -81,16 +81,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("ctxmatchd_breaker_open",
 		"Catalogs whose match-any circuit breaker is currently open.",
 		func() float64 { return float64(s.fleet.OpenBreakers()) })
-	r.NewGaugeFunc("ctxmatchd_fused_bypass_total",
-		"Match-any retrievals served by the per-catalog fallback because a writer held the fleet lock (install or compaction).",
-		func() float64 { return float64(s.fleet.Bypasses()) })
 	// The fused retrieval index behind /v1/match-any: structure size
 	// (slots, tombstones awaiting compaction, global grams, fused runs,
-	// estimated bytes) and lifetime bound-pass effectiveness (probes,
-	// catalog-columns skipped on the fused bound alone). Each gauge
-	// snapshots the fleet under its read lock at scrape time.
+	// estimated bytes) as gauges, and lifetime bound-pass effectiveness
+	// (probes, catalog-columns skipped on the fused bound alone) as
+	// counters. Each series snapshots the fleet under its read lock at
+	// scrape time.
 	fusedGauge := func(name, help string, field func(s repository.FusedStats) float64) {
 		r.NewGaugeFunc("ctxmatchd_fused_"+name, help,
+			func() float64 { return field(s.fleet.FusedStats()) })
+	}
+	fusedCounter := func(name, help string, field func(s repository.FusedStats) float64) {
+		r.NewCounterFunc("ctxmatchd_fused_"+name, help,
 			func() float64 { return field(s.fleet.FusedStats()) })
 	}
 	fusedGauge("slots", "Fused index slot-table length, tombstones included.",
@@ -103,9 +105,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func(st repository.FusedStats) float64 { return float64(st.Runs) })
 	fusedGauge("bytes", "Estimated memory held by the fused index, inverse remaps included.",
 		func(st repository.FusedStats) float64 { return float64(st.Bytes) })
-	fusedGauge("probes_total", "Fused bound passes served (one per source column per retrieval).",
+	fusedCounter("probes_total", "Fused bound passes served (one per source column per retrieval).",
 		func(st repository.FusedStats) float64 { return float64(st.Probes) })
-	fusedGauge("bound_skips_total", "Catalog-columns whose exact scan the fused bound alone skipped.",
+	fusedCounter("bound_skips_total", "Catalog-columns whose exact scan the fused bound alone skipped.",
 		func(st repository.FusedStats) float64 { return float64(st.BoundSkips) })
 	r.NewGaugeFunc("ctxmatchd_index_hit_rate",
 		"Mean candidate-index hit rate across installed catalogs (fraction of column pairs not pruned).",

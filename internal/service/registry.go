@@ -18,9 +18,10 @@ import (
 // they already fetched and finish on it, per the library's aliasing
 // rule.
 //
-// Beyond Cap prepared catalogs, the least-recently-used one is evicted
-// and its cached artifacts dropped from the Matcher. "Use" is a match
-// or a (re-)prepare; listing does not touch recency.
+// Beyond Cap prepared catalogs, the least-recently-used one is evicted;
+// its handle, and the artifacts it pins, go with it once in-flight
+// readers finish. "Use" is a match or a (re-)prepare; listing does not
+// touch recency.
 type Registry struct {
 	matcher *ctxmatch.Matcher
 	cap     int
@@ -147,7 +148,7 @@ func (r *Registry) Install(name string, t *ctxmatch.Target) (info CatalogInfo, e
 	st := t.Stats()
 
 	r.mu.Lock()
-	old := r.entries[name]
+	_, replaced = r.entries[name]
 	r.gens[name]++
 	gen := r.gens[name]
 	info = CatalogInfo{
@@ -174,11 +175,9 @@ func (r *Registry) Install(name string, t *ctxmatch.Target) (info CatalogInfo, e
 	for _, o := range r.obs {
 		o.Installed(name, gen, t)
 	}
-	var forget []*ctxmatch.Schema
 	for len(r.entries) > r.cap {
 		victim := r.order[0]
 		r.order = r.order[1:]
-		forget = append(forget, r.entries[victim].target.Schema())
 		delete(r.entries, victim)
 		evicted = append(evicted, victim)
 		for _, o := range r.obs {
@@ -186,20 +185,6 @@ func (r *Registry) Install(name string, t *ctxmatch.Target) (info CatalogInfo, e
 		}
 	}
 	r.mu.Unlock()
-
-	// Drop cached artifacts outside the lock: the replaced generation's
-	// (each upload parses a fresh schema object, so the old one can
-	// never be re-Prepared) and the evicted catalogs'. Handles already
-	// fetched by in-flight readers pin their own artifacts and are
-	// unaffected. For a restored handle (whose artifacts live on its own
-	// private matcher) the Forget is a harmless no-op.
-	if old != nil {
-		replaced = true
-		r.matcher.Forget(old.target.Schema())
-	}
-	for _, s := range forget {
-		r.matcher.Forget(s)
-	}
 	return info, evicted, replaced
 }
 
@@ -240,21 +225,18 @@ func (r *Registry) Get(name string) (*ctxmatch.Target, bool) {
 	return e.target, true
 }
 
-// Delete removes name from the registry, dropping its cached artifacts.
-// It reports whether the name existed.
+// Delete removes name from the registry. It reports whether the name
+// existed.
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
-	e, ok := r.entries[name]
+	defer r.mu.Unlock()
+	_, ok := r.entries[name]
 	if ok {
 		delete(r.entries, name)
 		r.removeLocked(name)
 		for _, o := range r.obs {
 			o.Removed(name)
 		}
-	}
-	r.mu.Unlock()
-	if ok {
-		r.matcher.Forget(e.target.Schema())
 	}
 	return ok
 }

@@ -32,12 +32,11 @@ type TableError = core.TableError
 // Construct one with New; then either Prepare a target catalog once and
 // fan source schemas at the returned handle (Target.Match,
 // Target.MatchAll, Target.MatchStream), or call Match directly — the
-// convenience composition of Prepare and Target.Match, backed by the
-// same per-catalog cache. A Matcher is safe for concurrent use by
-// multiple goroutines.
+// one-shot composition of Prepare and Target.Match. The Matcher holds
+// only its configuration; the prepared Target is the unit of reuse. A
+// Matcher is safe for concurrent use by multiple goroutines.
 type Matcher struct {
-	opt   core.Options
-	cache *core.TargetCache
+	opt core.Options
 }
 
 // New builds a Matcher from the paper's defaults (τ=0.5, ω=5,
@@ -62,18 +61,16 @@ func New(opts ...Option) (*Matcher, error) {
 	if cfg.Engine == nil {
 		cfg.Engine = match.NewEngine()
 	}
-	return &Matcher{opt: cfg.Options, cache: core.NewTargetCache()}, nil
+	return &Matcher{opt: cfg.Options}, nil
 }
 
 // Match runs contextual schema matching (Algorithm ContextMatch,
 // Figure 5) between a source and a target schema and returns the
 // selected matches along with the standard matches and the inferred
-// view families. It is the convenience composition of Prepare and
-// Target.Match: the target-side artifacts come from (and are stored
-// into) the matcher's per-catalog cache, so repeated calls against the
-// same long-lived catalog skip the training — but a service matching
-// many sources against one catalog should Prepare once and hold the
-// handle.
+// view families. It is plain Prepare + Target.Match: every call pays
+// the target-side training and column scans again, so a service
+// matching many sources against one catalog should Prepare once and
+// hold the handle.
 //
 // The run honors ctx cancellation and deadlines: an aborted run returns
 // an error chaining to ctx.Err() — wrapped in a *TableError naming the
@@ -97,11 +94,11 @@ func (m *Matcher) Match(ctx context.Context, source, target *Schema) (*Result, e
 // straightforward; §3.2.4 applies it to TgtClassInfer). Returned
 // matches still read source → target; the view sits on the target side,
 // so collect them with Result.TargetContextualMatches. Because the
-// pipeline runs with the schemas swapped, the memoized per-catalog
-// artifacts here key on source, and a TableError names a table of
+// pipeline runs with the schemas swapped, each call trains the
+// source-side artifacts afresh, and a TableError names a table of
 // target.
 func (m *Matcher) MatchTarget(ctx context.Context, source, target *Schema) (*Result, error) {
-	cr, err := core.ContextMatchTarget(ctx, source, target, m.runOptions())
+	cr, err := core.ContextMatchTarget(ctx, source, target, m.opt)
 	if err != nil {
 		return nil, err
 	}
@@ -114,30 +111,4 @@ func (m *Matcher) Parallelism() int { return m.opt.Parallelism }
 
 // Options returns a copy of the matcher's resolved configuration, for
 // diagnostics and for bridging to the legacy Options-based helpers.
-func (m *Matcher) Options() Options {
-	opt := m.opt
-	opt.Cache = nil
-	return opt
-}
-
-// Forget drops the memoized artifacts for one target catalog, whether
-// they were populated by Match or pinned through Prepare. Call it after
-// mutating a schema's sample instance in place: the next Match or
-// Prepare against that schema retrains from the current rows.
-//
-// The aliasing rule for handles: an existing *Target keeps the
-// artifacts it pinned at Prepare time — Forget cannot (and must not)
-// reach into handles already matching on other goroutines. A handle
-// prepared before an in-place mutation therefore keeps answering from
-// the old sample; discard it and re-Prepare to observe the new rows.
-// Schemas simply no longer referenced need no Forget; they are
-// reclaimed with the Matcher itself.
-func (m *Matcher) Forget(target *Schema) { m.cache.Forget(target) }
-
-// runOptions assembles the per-call Options: the immutable configured
-// values plus the matcher's shared target cache.
-func (m *Matcher) runOptions() core.Options {
-	opt := m.opt
-	opt.Cache = m.cache
-	return opt
-}
+func (m *Matcher) Options() Options { return m.opt }

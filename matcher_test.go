@@ -141,8 +141,7 @@ func TestMatcherDeadline(t *testing.T) {
 }
 
 // TestMatcherEngineReuse: two consecutive Match calls on one Matcher
-// (the second hitting the per-target cache) must agree with each other
-// and with a fresh Matcher.
+// must agree with each other and with a fresh Matcher.
 func TestMatcherEngineReuse(t *testing.T) {
 	ds := datagen.Inventory(datagen.InventoryConfig{
 		Rows: 300, TargetRows: 150, Gamma: 4, Target: datagen.Ryan, Seed: 5,
@@ -171,17 +170,11 @@ func TestMatcherEngineReuse(t *testing.T) {
 		t.Errorf("fresh Matcher diverged from reused one:\n%s\nvs\n%s",
 			renderMatches(fresh), renderMatches(first))
 	}
-	// A mutated catalog must be forgettable without constructing a new
-	// Matcher; the call must still succeed afterwards.
-	reused.Forget(ds.Target)
-	if _, err := reused.Match(context.Background(), ds.Source, ds.Target); err != nil {
-		t.Fatalf("Match after Forget: %v", err)
-	}
 }
 
 // TestMatcherConcurrentUse: one Matcher serving many goroutines — the
-// documented service pattern; run under -race this exercises the target
-// cache and the engine's concurrent Binds.
+// documented service pattern; run under -race this exercises the
+// engine's concurrent Binds.
 func TestMatcherConcurrentUse(t *testing.T) {
 	ds := datagen.Inventory(datagen.InventoryConfig{
 		Rows: 200, TargetRows: 100, Gamma: 4, Target: datagen.Ryan, Seed: 9,
@@ -304,9 +297,6 @@ func TestMatcherOptionsSnapshot(t *testing.T) {
 	opt := m.Options()
 	if opt.Tau != 0.4 || opt.Omega != 7 || opt.Parallelism != 3 || opt.Inference != ctxmatch.SrcClassInfer {
 		t.Errorf("Options() = %+v, want the configured values", opt)
-	}
-	if opt.Cache != nil {
-		t.Error("Options() leaked the internal cache")
 	}
 	// WithOptions bridges a legacy Options value into the new API.
 	bridged := mustNew(t, ctxmatch.WithOptions(opt), ctxmatch.WithSeed(42))

@@ -48,9 +48,9 @@ func (t *Target) WriteSnapshot(w io.Writer) (int64, error) {
 // by WriteSnapshot. No training and no column scanning happens: the
 // numeric artifact tables are reconstructed by reference to one
 // contiguous buffer. The handle matches bit-identically to the one that
-// wrote the snapshot, and carries its own Matcher configured with the
-// snapshot's options (Target.MatchTarget trains source-side artifacts
-// through it on demand, exactly as a fresh handle would).
+// wrote the snapshot and carries the snapshot's options, under which
+// Target.MatchTarget trains source-side artifacts on demand, exactly as
+// a fresh handle would.
 //
 // Arbitrary or corrupt input fails with an error wrapping one of the
 // ErrSnapshot* sentinels — never a panic. Stats on the restored handle
@@ -61,6 +61,5 @@ func LoadTarget(r io.Reader) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{opt: pt.Options(), cache: core.NewTargetCache()}
-	return &Target{m: m, prep: pt, schema: pt.Target(), prepTime: time.Since(start)}, nil
+	return &Target{prep: pt, schema: pt.Target(), prepTime: time.Since(start)}, nil
 }

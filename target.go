@@ -21,10 +21,10 @@ import (
 //
 // A Target is immutable and safe for concurrent use. It pins the
 // catalog's sample instance by reference: mutating the prepared
-// schema's tables in place does NOT invalidate the handle (see
-// Matcher.Forget) — re-Prepare after any in-place mutation.
+// schema's tables in place does NOT invalidate the handle, which keeps
+// answering from the artifacts it trained — re-Prepare after any
+// in-place mutation to get a handle over the new rows.
 type Target struct {
-	m        *Matcher
 	prep     *core.PreparedTarget
 	schema   *Schema
 	prepTime time.Duration
@@ -34,9 +34,8 @@ type Target struct {
 // wall-clock preparation time and the size of the catalog and its
 // pinned artifacts. A serving layer lists these per catalog.
 //
-// PreparedIn measures the Prepare call that built the handle; when the
-// artifacts came from the matcher's cache (a re-Prepare of a live
-// catalog) it is near zero, which is itself informative.
+// PreparedIn measures the Prepare call (or the snapshot load) that
+// built the handle.
 type TargetStats struct {
 	// PreparedIn is the wall-clock duration of the Prepare call.
 	PreparedIn time.Duration
@@ -105,17 +104,16 @@ func (t *Target) Stats() TargetStats {
 
 // Prepare eagerly trains and pins all artifacts that depend only on the
 // target catalog and returns an immutable handle for matching source
-// schemas against it. Preparing the same schema again on the same
-// Matcher is cheap — the artifacts come from the matcher's cache —
-// until Forget drops them. An empty or nil target returns
+// schemas against it. Every call trains from the schema's current rows;
+// hold the handle to reuse the work. An empty or nil target returns
 // ErrEmptySchema; a canceled ctx returns before any work is done.
 func (m *Matcher) Prepare(ctx context.Context, target *Schema) (*Target, error) {
 	start := time.Now()
-	pt, err := core.PrepareTarget(ctx, target, m.runOptions())
+	pt, err := core.PrepareTarget(ctx, target, m.opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Target{m: m, prep: pt, schema: target, prepTime: time.Since(start)}, nil
+	return &Target{prep: pt, schema: target, prepTime: time.Since(start)}, nil
 }
 
 // Schema returns the catalog the handle was prepared for.
@@ -126,7 +124,7 @@ func (t *Target) Schema() *Schema { return t.schema }
 // (and the same Stats counters). Results are bit-identical at any n;
 // the copy is cheap — no artifact is rebuilt.
 func (t *Target) WithParallelism(n int) *Target {
-	return &Target{m: t.m, prep: t.prep.WithParallelism(n), schema: t.schema, prepTime: t.prepTime}
+	return &Target{prep: t.prep.WithParallelism(n), schema: t.schema, prepTime: t.prepTime}
 }
 
 // Prepared exposes the handle's underlying prepared-target artifacts to
@@ -152,10 +150,10 @@ func (t *Target) Match(ctx context.Context, source *Schema) (*Result, error) {
 // Returned matches still read source → target; collect the contextual
 // ones with Result.TargetContextualMatches. Because the reversed
 // pipeline trains on the *source* side, this path cannot use the pinned
-// artifacts; it reuses the owning Matcher's per-catalog cache keyed on
-// source instead, exactly like Matcher.MatchTarget.
+// artifacts; each call trains the source-side artifacts afresh under the
+// handle's configuration, exactly like Matcher.MatchTarget.
 func (t *Target) MatchTarget(ctx context.Context, source *Schema) (*Result, error) {
-	cr, err := core.ContextMatchTarget(ctx, source, t.schema, t.m.runOptions())
+	cr, err := core.ContextMatchTarget(ctx, source, t.schema, t.prep.Options())
 	if err != nil {
 		return nil, err
 	}

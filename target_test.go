@@ -255,44 +255,60 @@ func TestMatchStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestForgetWithPreparedHandle: Forget must drop artifacts that were
-// pinned through Prepare, so the next Prepare retrains from the current
-// rows — while the old handle, per the documented aliasing rule, keeps
-// answering from its pinned snapshot.
-func TestForgetWithPreparedHandle(t *testing.T) {
-	ds := inventoryDS(7)
+// TestPrepareAfterInPlaceMutation pins the aliasing rule: after a
+// prepared catalog's rows are replaced in place, a new Prepare of the
+// same schema object retrains and answers exactly like a Prepare of an
+// independent schema holding the new rows, while the handle prepared
+// before the mutation keeps answering from the artifacts it pinned.
+func TestPrepareAfterInPlaceMutation(t *testing.T) {
+	ds, other := inventoryDS(7), inventoryDS(8)
 	m := mustNew(t)
-	prepared, err := m.Prepare(context.Background(), ds.Target)
+	old, err := m.Prepare(context.Background(), ds.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := core.TargetClassifierTrainings()
-	// Without Forget, re-Prepare hits the cache: no training.
-	if _, err := m.Prepare(context.Background(), ds.Target); err != nil {
+	oldBefore, err := old.Match(context.Background(), ds.Source)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := core.TargetClassifierTrainings(); got != before {
-		t.Errorf("cached re-Prepare trained %d times", got-before)
+
+	// Mutate the catalog in place: same schema and table objects, the
+	// other dataset's rows.
+	for i, tbl := range ds.Target.Tables {
+		tbl.Rows = other.Target.Tables[i].Rows
 	}
-	m.Forget(ds.Target)
+	before := core.TargetClassifierTrainings()
 	fresh, err := m.Prepare(context.Background(), ds.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := core.TargetClassifierTrainings(); got == before {
-		t.Error("Prepare after Forget did not retrain the prepared catalog")
+		t.Error("Prepare after an in-place mutation did not retrain")
 	}
-	// Both handles still work and agree (the sample was not actually
-	// mutated, so old pinned artifacts and fresh ones coincide).
-	oldRes, err := prepared.Match(context.Background(), ds.Source)
+	ref, err := mustNew(t).Prepare(context.Background(), other.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := fresh.Match(context.Background(), ds.Source)
+	freshRes, err := fresh.Match(context.Background(), ds.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderMatches(oldRes) != renderMatches(newRes) {
-		t.Error("handles over an unmutated catalog diverged")
+	refRes, err := ref.Match(context.Background(), ds.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderMatches(freshRes) != renderMatches(refRes) {
+		t.Error("re-Prepare of the mutated catalog does not reflect its new rows")
+	}
+
+	oldAfter, err := old.Match(context.Background(), ds.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderMatches(oldAfter) != renderMatches(oldBefore) {
+		t.Error("the handle prepared before the mutation changed its answers")
+	}
+	if renderMatches(oldAfter) == renderMatches(freshRes) {
+		t.Error("old and new rows give the same answers; the check above proves nothing")
 	}
 }

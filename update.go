@@ -41,7 +41,7 @@ func (t *Target) Update(ctx context.Context, delta CatalogDelta) (*Target, error
 	if err != nil {
 		return nil, err
 	}
-	return &Target{m: t.m, prep: pt, schema: pt.Target(), prepTime: time.Since(start)}, nil
+	return &Target{prep: pt, schema: pt.Target(), prepTime: time.Since(start)}, nil
 }
 
 // TargetLiveStats are the per-traffic figures of a prepared handle —
