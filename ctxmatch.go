@@ -53,6 +53,7 @@ import (
 	"ctxmatch/internal/mapping"
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/relational"
+	"ctxmatch/internal/tokenize"
 )
 
 // Re-exported data model types. A Table carries both schema (attributes)
@@ -166,16 +167,29 @@ const (
 // between one source table and a target schema, returning matches with
 // confidence at least tau.
 func StandardMatch(source *Table, target *Schema, tau float64) []MatchEdge {
-	eng := match.NewEngine()
-	return newEdges(eng.Bind(source, target).StandardMatches(tau))
+	b := bindFresh(source, target)
+	defer b.Release()
+	return newEdges(b.StandardMatches(tau))
 }
 
 // Explain breaks a pair's similarity down per matcher on fresh
 // normalization statistics, for debugging why a match did or did not
 // clear τ.
 func Explain(source *Table, sourceAttr string, target *Schema, targetTable, targetAttr string) []match.Explanation {
+	b := bindFresh(source, target)
+	defer b.Release()
+	return b.Explain(source, sourceAttr, targetTable, targetAttr)
+}
+
+// bindFresh binds source to target under the default engine over a
+// freshly built and frozen feature layer of target — the layer
+// Prepare pins, minus the classifiers.
+func bindFresh(source *Table, target *Schema) *match.Bound {
 	eng := match.NewEngine()
-	return eng.Bind(source, target).Explain(source, sourceAttr, targetTable, targetAttr)
+	d := tokenize.NewDict()
+	tf := eng.PrecomputeTarget(target, d, 1)
+	d.Freeze()
+	return eng.Bind(source, target, tf, 1)
 }
 
 // Mapping API.

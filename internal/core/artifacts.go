@@ -42,7 +42,7 @@ func buildTargetArtifacts(eng *match.Engine, tgt *relational.Schema, needCls boo
 			tcls = newTargetClassifiers(tgt, workers)
 		}()
 	}
-	a.feats = eng.PrecomputeTargetParallel(tgt, a.dict, workers)
+	a.feats = eng.PrecomputeTarget(tgt, a.dict, workers)
 	wg.Wait()
 	if needCls {
 		a.tcls = tcls

@@ -159,37 +159,12 @@ func contextMatchPrepared(ctx context.Context, src *relational.Schema, pt *Prepa
 	tableWorkers := opt.workers(len(src.Tables))
 	run := newRunState(ctx, pt, budget/tableWorkers)
 
+	// matchTable checks ctx before any work, so after a cancellation
+	// the remaining tables record ctx.Err() at once.
 	outs := make([]tableResult, len(src.Tables))
-	if workers := tableWorkers; workers <= 1 {
-		for i, rs := range src.Tables {
-			outs[i] = run.matchTable(rs)
-			if outs[i].err != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i] = run.matchTable(src.Tables[i])
-				}
-			}()
-		}
-	feed:
-		for i := range src.Tables {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
+	match.ForEachIndex(len(src.Tables), tableWorkers, func(i int) {
+		outs[i] = run.matchTable(src.Tables[i])
+	})
 
 	// Surface failures before touching any partial output: first table
 	// error in schema order wins, so the reported error is deterministic
@@ -236,21 +211,21 @@ func contextMatchPrepared(ctx context.Context, src *relational.Schema, pt *Prepa
 
 // matchTable runs lines 3-11 of Figure 5 for one source table: prototype
 // matches via StandardMatch, candidate conditions via
-// InferCandidateViews, and the scoring loop that fills RL. It is called
+// inferCandidateViews, and the scoring loop that fills RL. It is called
 // from the worker pool, so it only reads shared state and reports
 // through its return value.
 func (r *runState) matchTable(rs *relational.Table) tableResult {
 	if err := r.ctx.Err(); err != nil {
 		return tableResult{err: err}
 	}
-	bound := r.eng.BindParallel(rs, r.tgt, r.feats, r.cols)
+	bound := r.eng.Bind(rs, r.tgt, r.feats, r.cols)
 	defer bound.Release()
 	protos := bound.StandardMatches(r.opt.Tau) // line 4
 	if err := r.ctx.Err(); err != nil {
 		return tableResult{err: err}
 	}
 
-	cands := inferCandidateViews(rs, r.tgt, len(protos) > 0, r.opt, r.fcls) // line 5
+	cands := inferCandidateViews(rs, len(protos) > 0, r.opt, r.fcls) // line 5
 	var fams []ViewFamily
 	for _, c := range cands {
 		if c.Family != nil {
@@ -636,11 +611,11 @@ func conjunctiveStages(r *runState, res *Result) error {
 // with the view's own condition.
 func (r *runState) stageMatches(view *relational.Table, used map[string]bool, protos []match.Match) ([]match.Match, error) {
 	base := view.Root()
-	bound := r.eng.BindParallel(base, r.tgt, r.feats, r.cols)
+	bound := r.eng.Bind(base, r.tgt, r.feats, r.cols)
 	defer bound.Release()
 	resolved := resolveProtos(bound, protos)
 	var rl []ScoredCandidate
-	for _, c := range inferCandidateViews(view, r.tgt, len(protos) > 0, r.opt, r.fcls) {
+	for _, c := range inferCandidateViews(view, len(protos) > 0, r.opt, r.fcls) {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}

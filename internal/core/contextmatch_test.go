@@ -16,7 +16,7 @@ func TestInferCandidateViewsEmptyWithoutMatches(t *testing.T) {
 	for _, inf := range []Inference{NaiveInfer, SrcClassInfer, TgtClassInfer} {
 		opt := DefaultOptions()
 		opt.Inference = inf
-		if got := InferCandidateViews(src, tgt, false, opt); len(got) != 0 {
+		if got := inferCandidateViews(src, false, opt, preparedClassifiers(t, tgt, opt)); len(got) != 0 {
 			t.Errorf("%v: candidates without matches: %v", inf, got)
 		}
 	}
@@ -28,7 +28,7 @@ func TestNaiveInferSimpleConditions(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = NaiveInfer
 	opt.EarlyDisjuncts = false
-	cands := InferCandidateViews(src, nil, true, opt)
+	cands := inferCandidateViews(src, true, opt, nil)
 	// ItemType has 4 values, StockStatus 3: 7 simple conditions.
 	if len(cands) != 7 {
 		t.Errorf("got %d candidates, want 7", len(cands))
@@ -52,7 +52,7 @@ func TestNaiveInferEarlyDisjunctsEnumeratesSubsets(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = NaiveInfer
 	opt.EarlyDisjuncts = true
-	cands := InferCandidateViews(src, nil, true, opt)
+	cands := inferCandidateViews(src, true, opt, nil)
 	// ItemType (4 values): 2^4-2 = 14 subsets; StockStatus (3): 2^3-2 = 6.
 	if len(cands) != 20 {
 		t.Errorf("got %d candidates, want 20", len(cands))
@@ -268,13 +268,6 @@ func TestQualTablePrefersBestSourceTable(t *testing.T) {
 		if m.Target.Name == "book" && m.Source.Root().Name == "junk" {
 			t.Errorf("QualTable picked the junk table for book: %v", m)
 		}
-	}
-}
-
-func TestStrawmanOptions(t *testing.T) {
-	o := StrawmanOptions()
-	if o.Inference != NaiveInfer || o.Selection != MultiTable {
-		t.Errorf("strawman = %v/%v", o.Inference, o.Selection)
 	}
 }
 

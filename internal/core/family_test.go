@@ -66,7 +66,7 @@ func TestSrcClassInferFindsItemTypeFamily(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = SrcClassInfer
 	opt.EarlyDisjuncts = false
-	fams := Families(src, tgt, opt)
+	fams := viewFamilies(src, opt, preparedClassifiers(t, tgt, opt))
 	if len(fams) == 0 {
 		t.Fatal("no families found on clearly clustered data")
 	}
@@ -90,7 +90,7 @@ func TestTgtClassInferFindsItemTypeFamily(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = TgtClassInfer
 	opt.EarlyDisjuncts = false
-	fams := Families(src, tgt, opt)
+	fams := viewFamilies(src, opt, preparedClassifiers(t, tgt, opt))
 	foundItemType := false
 	for _, f := range fams {
 		if f.Attr == "ItemType" {
@@ -114,7 +114,7 @@ func TestEarlyDisjunctsMergesIndistinguishableLabels(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = SrcClassInfer
 	opt.EarlyDisjuncts = true
-	fams := Families(src, tgt, opt)
+	fams := viewFamilies(src, opt, preparedClassifiers(t, tgt, opt))
 	foundMerged := false
 	for _, f := range fams {
 		if f.Attr != "ItemType" || len(f.Groups) != 2 {
@@ -150,7 +150,7 @@ func TestLateDisjunctsKeepsSingletonGroups(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Inference = SrcClassInfer
 	opt.EarlyDisjuncts = false
-	for _, f := range Families(src, tgt, opt) {
+	for _, f := range viewFamilies(src, opt, preparedClassifiers(t, tgt, opt)) {
 		for _, g := range f.Groups {
 			if len(g) != 1 {
 				t.Errorf("LateDisjuncts produced a merged group: %v", f)
@@ -168,7 +168,7 @@ func TestFamiliesRequireMinimumData(t *testing.T) {
 	tab.Append(relational.Tuple{relational.S("b"), relational.S("y")})
 	opt := DefaultOptions()
 	opt.Inference = SrcClassInfer
-	if fams := Families(tab, nil, opt); len(fams) != 0 {
+	if fams := viewFamilies(tab, opt, nil); len(fams) != 0 {
 		t.Errorf("tiny table should yield no families, got %v", fams)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
+	"testing"
 
 	"ctxmatch/internal/relational"
 )
@@ -93,6 +95,18 @@ func invFixture(rng *rand.Rand, n, gamma int) (*relational.Table, *relational.Sc
 		})
 	}
 	return src, relational.NewSchema("RT", book, music)
+}
+
+// preparedClassifiers returns the frozen target classifiers
+// PrepareTarget pins for tgt under opt — nil unless opt.Inference is
+// TgtClassInfer — the set a prepared match hands to inference.
+func preparedClassifiers(t testing.TB, tgt *relational.Schema, opt Options) *frozenTargetClassifiers {
+	t.Helper()
+	pt, err := PrepareTarget(context.Background(), tgt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt.arts.fcls
 }
 
 // isBookLabel reports whether an ItemType value denotes a book subtype.

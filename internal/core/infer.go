@@ -12,57 +12,51 @@ import (
 )
 
 // Candidate is one candidate view condition produced by
-// InferCandidateViews, with the family that motivated it (nil provenance
-// for NaiveInfer).
+// inferCandidateViews, with the family that motivated it (nil
+// provenance for NaiveInfer).
 type Candidate struct {
 	Cond   relational.Condition
 	Family *ViewFamily
 }
 
-// InferCandidateViews produces the set C of candidate view conditions for
-// source table r (line 5 of Figure 5). matches is the output of
-// StandardMatch; per the paper no conditions are returned when it is
-// empty. The target schema is consulted only by TgtClassInfer.
-func InferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options) []Candidate {
-	return inferCandidateViews(r, tgt, hasMatches, opt, nil)
-}
-
-// inferCandidateViews is InferCandidateViews with an optional pre-built
-// frozen target classifier set. ContextMatch compiles fcls once per
-// prepared target (or takes it from the target cache) and shares it
-// across all per-table workers; nil trains and freezes fresh, which the
-// one-shot entry points rely on. Every call derives its own RNG from
-// opt.Seed, so concurrent per-table inference stays deterministic
-// regardless of goroutine interleaving.
-func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options, fcls *frozenTargetClassifiers) []Candidate {
+// inferCandidateViews produces the set C of candidate view conditions
+// for source table r (line 5 of Figure 5). hasMatches reports whether
+// StandardMatch accepted any match; per the paper no conditions are
+// returned when it did not. fcls is the prepared target's frozen
+// classifier set (see viewFamilies).
+func inferCandidateViews(r *relational.Table, hasMatches bool, opt Options, fcls *frozenTargetClassifiers) []Candidate {
 	if !hasMatches {
 		return nil
 	}
-	rng := opt.rng()
-	switch opt.Inference {
-	case NaiveInfer:
+	if opt.Inference == NaiveInfer {
 		return naiveInfer(r, opt)
+	}
+	return candidatesFromFamilies(viewFamilies(r, opt, fcls))
+}
+
+// viewFamilies runs the configured classifier-based inference (§3.2.3
+// SrcClassInfer, §3.2.4 TgtClassInfer) and returns the well-clustered
+// view families of r; nil under NaiveInfer, which has none. fcls is
+// the prepared target's frozen classifier set, compiled once by
+// PrepareTarget and shared across all per-table workers; only
+// TgtClassInfer reads it. Every call derives its own RNG from opt.Seed,
+// so concurrent per-table inference stays deterministic regardless of
+// goroutine interleaving.
+func viewFamilies(r *relational.Table, opt Options, fcls *frozenTargetClassifiers) []ViewFamily {
+	cfg := clusterConfig{
+		threshold:      opt.SignificanceT,
+		trainFrac:      opt.TrainFrac,
+		earlyDisjuncts: opt.EarlyDisjuncts,
+	}
+	switch opt.Inference {
 	case SrcClassInfer:
-		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
-			threshold:      opt.SignificanceT,
-			trainFrac:      opt.TrainFrac,
-			earlyDisjuncts: opt.EarlyDisjuncts,
-			factory:        srcClassifierFactory,
-		}, rng))
+		cfg.factory = srcClassifierFactory
 	case TgtClassInfer:
-		if fcls == nil {
-			fcls = newTargetClassifiers(tgt, 1).freezeFresh()
-		}
-		tagger := newTagger(fcls)
-		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
-			threshold:      opt.SignificanceT,
-			trainFrac:      opt.TrainFrac,
-			earlyDisjuncts: opt.EarlyDisjuncts,
-			factory:        tagger.factory,
-		}, rng))
+		cfg.factory = newTagger(fcls).factory
 	default:
 		return nil
 	}
+	return clusteredViewGen(r, cfg, opt.rng())
 }
 
 // naiveInfer implements §3.2.1: a view per value of every categorical
@@ -304,9 +298,10 @@ func (tc *targetClassifiers) update(updated *relational.Schema, touched func(*re
 	return out
 }
 
-// trainDomainClassifier trains the one-domain classifier C_D^T of
-// Figure 7 over every compatible attribute of the target schema, in
-// schema order; nil when no attribute is compatible.
+// trainDomainClassifier trains the one-domain Gaussian classifier C_D^T
+// of Figure 7 for a numeric domain over every compatible attribute of
+// the target schema, in schema order; nil when no attribute is
+// compatible. The string domain trains per table instead (trainTableNB).
 func trainDomainClassifier(tgt *relational.Schema, domain relational.Domain) classify.Classifier {
 	var cls classify.Classifier
 	for _, rt := range tgt.Tables {
@@ -315,11 +310,7 @@ func trainDomainClassifier(tgt *relational.Schema, domain relational.Domain) cla
 				continue
 			}
 			if cls == nil {
-				if domain == relational.DomainString {
-					cls = classify.NewNaiveBayes()
-				} else {
-					cls = classify.NewGaussian()
-				}
+				cls = classify.NewGaussian()
 			}
 			tag := rt.Name + "." + a.Name
 			i := rt.AttrIndex(a.Name)
@@ -363,15 +354,6 @@ func (tc *targetClassifiers) freeze(d *tokenize.Dict) *frozenTargetClassifiers {
 			f.byDomain[dom] = classify.Freeze(cls, d)
 		}
 	}
-	return f
-}
-
-// freezeFresh is freeze into a private dictionary, for one-shot callers
-// with no prepared target.
-func (tc *targetClassifiers) freezeFresh() *frozenTargetClassifiers {
-	d := tokenize.NewDict()
-	f := tc.freeze(d)
-	d.Freeze()
 	return f
 }
 
@@ -520,31 +502,4 @@ func (c *tgtClassifier) Predict(row int, _ relational.Value) int {
 		return c.bestCAT[tag]
 	}
 	return c.majority
-}
-
-// families is a convenience wrapper used by tests and the façade: it runs
-// the configured inference and returns the raw view families (empty for
-// NaiveInfer, which has none).
-func families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFamily {
-	rng := opt.rng()
-	cfg := clusterConfig{
-		threshold:      opt.SignificanceT,
-		trainFrac:      opt.TrainFrac,
-		earlyDisjuncts: opt.EarlyDisjuncts,
-	}
-	switch opt.Inference {
-	case SrcClassInfer:
-		cfg.factory = srcClassifierFactory
-	case TgtClassInfer:
-		cfg.factory = newTagger(newTargetClassifiers(tgt, 1).freezeFresh()).factory
-	default:
-		return nil
-	}
-	return clusteredViewGen(r, cfg, rng)
-}
-
-// Families exposes the inferred well-clustered view families for
-// diagnostics and experiments.
-func Families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFamily {
-	return families(r, tgt, opt)
 }

@@ -132,15 +132,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// StrawmanOptions returns the strawman configuration of §3: NaiveInfer
-// for InferCandidateViews and MultiTable for SelectContextualMatches.
-func StrawmanOptions() Options {
-	o := DefaultOptions()
-	o.Inference = NaiveInfer
-	o.Selection = MultiTable
-	return o
-}
-
 func (o *Options) engine() *match.Engine {
 	if o.Engine != nil {
 		return o.Engine

@@ -18,7 +18,7 @@ func TestFamilyGroupsPartitionValues(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Inference = SrcClassInfer
 		opt.Seed = seed
-		for _, f := range Families(src, tgt, opt) {
+		for _, f := range viewFamilies(src, opt, preparedClassifiers(t, tgt, opt)) {
 			seen := map[string]int{}
 			for _, g := range f.Groups {
 				for _, v := range g {

@@ -10,7 +10,11 @@ import (
 func TestFeatureCacheMemoizesNGram(t *testing.T) {
 	tab := relational.NewTable("t", relational.Attribute{Name: "a", Type: relational.Text})
 	tab.Append(relational.Tuple{relational.S("hello world")})
-	c := NewFeatureCache()
+	// other is a layer column and tab a source column, memoized by the
+	// cache itself.
+	other := relational.NewTable("u", relational.Attribute{Name: "a", Type: relational.Text})
+	other.Append(relational.Tuple{relational.S("zzz")})
+	c := testCache(t, other)
 	v1 := c.NGramVector(tab, "a", 0)
 	// Mutate the table afterwards: the cache must return the memoized
 	// vector, proving no recomputation happens.
@@ -20,8 +24,6 @@ func TestFeatureCacheMemoizesNGram(t *testing.T) {
 		t.Error("cache recomputed the vector")
 	}
 	// A different attribute or table is a different entry.
-	other := relational.NewTable("u", relational.Attribute{Name: "a", Type: relational.Text})
-	other.Append(relational.Tuple{relational.S("zzz")})
 	if c.NGramVector(other, "a", 0) == v1 {
 		t.Error("distinct tables share a cache entry")
 	}
@@ -35,7 +37,7 @@ func TestFeatureCacheNumeric(t *testing.T) {
 	tab.Append(relational.Tuple{relational.F(1.5), relational.S("a")})
 	tab.Append(relational.Tuple{relational.Null, relational.S("b")})
 	tab.Append(relational.Tuple{relational.F(2.5), relational.S("3.5")})
-	c := NewFeatureCache()
+	c := testCache(t)
 	xs := c.Numeric(tab, "x")
 	if len(xs) != 2 || xs[0] != 1.5 || xs[1] != 2.5 {
 		t.Errorf("Numeric = %v", xs)
@@ -57,7 +59,7 @@ func TestFeatureCacheMaxValues(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tab.Append(relational.Tuple{relational.S("abcdefgh")})
 	}
-	c := NewFeatureCache()
+	c := testCache(t, tab)
 	v := c.NGramVector(tab, "a", 10)
 	// 10 values × 6 trigrams each.
 	if total := v.Mass(); total != 60 {
@@ -72,16 +74,16 @@ func TestCachedScoringMatchesUncached(t *testing.T) {
 	src, tgt := fixture(rng, 100)
 	book := tgt.Table("book")
 	m := ValueNGramMatcher{W: 1}
-	shared := NewFeatureCache()
+	shared := testCache(t, tgt.Tables...)
 	a := m.Score(shared, src, "name", book, "title")
 	b := m.Score(shared, src, "name", book, "title")
-	c := m.Score(NewFeatureCache(), src, "name", book, "title")
+	c := m.Score(testCache(t, tgt.Tables...), src, "name", book, "title")
 	if a != b || a != c {
 		t.Errorf("cached scores diverge: %v %v %v", a, b, c)
 	}
 	n := NumericMatcher{W: 1}
 	x := n.Score(shared, src, "price", book, "price")
-	y := n.Score(NewFeatureCache(), src, "price", book, "price")
+	y := n.Score(testCache(t, tgt.Tables...), src, "price", book, "price")
 	if x != y {
 		t.Errorf("numeric cached scores diverge: %v %v", x, y)
 	}
@@ -90,7 +92,7 @@ func TestCachedScoringMatchesUncached(t *testing.T) {
 func TestExplainBreakdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	src, tgt := fixture(rng, 120)
-	b := NewEngine().Bind(src, tgt)
+	b := bind(NewEngine(), src, tgt)
 	exps := b.Explain(src, "code", "book", "isbn")
 	if len(exps) == 0 {
 		t.Fatal("no explanations")
@@ -120,12 +122,12 @@ func TestBindParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src, tgt := fixture(rng, 150)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
-	seq := eng.BindWithFeatures(src, tgt, tf)
+	tf := frozenLayer(eng, tgt)
+	seq := eng.Bind(src, tgt, tf, 1)
 	defer seq.Release()
 	want := seq.StandardMatches(0)
 	for _, workers := range []int{2, 4, 8} {
-		par := eng.BindParallel(src, tgt, tf, workers)
+		par := eng.Bind(src, tgt, tf, workers)
 		got := par.StandardMatches(0)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d matches, want %d", workers, len(got), len(want))
@@ -145,10 +147,10 @@ func TestFeatureCachePoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	src, tgt := fixture(rng, 80)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
+	tf := frozenLayer(eng, tgt)
 	var first []Match
 	for i := 0; i < 5; i++ {
-		b := eng.BindWithFeatures(src, tgt, tf)
+		b := eng.Bind(src, tgt, tf, 1)
 		got := b.StandardMatches(0)
 		if i == 0 {
 			first = got

@@ -53,34 +53,23 @@ type TargetFeatures struct {
 }
 
 // PrecomputeTarget scans every column of tgt once and returns the shared
-// feature set for the engine's configured matchers, interning all catalog
-// grams into a fresh dictionary that is frozen before returning. The
-// n-gram value cap is taken from the engine's ValueNGramMatcher so shared
-// vectors are identical to the ones a private FeatureCache would build.
-func (e *Engine) PrecomputeTarget(tgt *relational.Schema) *TargetFeatures {
-	d := tokenize.NewDict()
-	tf := e.PrecomputeTargetInto(tgt, d)
-	d.Freeze()
-	return tf
-}
-
-// PrecomputeTargetInto is PrecomputeTarget against a caller-owned
-// dictionary that must still be building; the caller freezes it once
-// every artifact sharing the ID space (e.g. frozen classifiers) has
-// been compiled into it.
-func (e *Engine) PrecomputeTargetInto(tgt *relational.Schema, d *tokenize.Dict) *TargetFeatures {
-	return e.PrecomputeTargetParallel(tgt, d, 1)
-}
-
-// PrecomputeTargetParallel is PrecomputeTargetInto with the per-column
-// scans fanned across up to workers goroutines. Each column's grams are
-// interned into a column-local dictionary, and the locals merge into d
-// sequentially in schema order — reproducing exactly the ID assignment
-// of a single sequential pass, so the resulting feature layer is
-// bit-identical at any worker count. Attribute-name vectors intern
-// after every column (the canonical order all worker counts share), and
-// the candidate index builds last, over the final vectors.
-func (e *Engine) PrecomputeTargetParallel(tgt *relational.Schema, d *tokenize.Dict, workers int) *TargetFeatures {
+// feature set for the engine's configured matchers, interning all
+// catalog grams into d, which must still be building. The caller
+// freezes d once every artifact sharing the ID space (e.g. frozen
+// classifiers) has been compiled into it; Bind requires a frozen
+// layer. The n-gram value cap is taken from the engine's
+// ValueNGramMatcher so every layer vector carries the cap Bind scores
+// under.
+//
+// The per-column scans fan across up to workers goroutines. Each
+// column's grams are interned into a column-local dictionary, and the
+// locals merge into d sequentially in schema order — reproducing
+// exactly the ID assignment of a single sequential pass, so the
+// resulting feature layer is bit-identical at any worker count.
+// Attribute-name vectors intern after every column (the canonical
+// order all worker counts share), and the candidate index builds last,
+// over the final vectors.
+func (e *Engine) PrecomputeTarget(tgt *relational.Schema, d *tokenize.Dict, workers int) *TargetFeatures {
 	targetPrecomputes.Add(1)
 	tf := &TargetFeatures{
 		tgt:       tgt,

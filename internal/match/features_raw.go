@@ -36,7 +36,7 @@ type RawNameVector struct {
 
 // RawTargetFeatures is the flat, serializable form of TargetFeatures:
 // every map re-keyed to positional column references, in the canonical
-// schema-scan order PrecomputeTargetParallel builds them, so export →
+// schema-scan order PrecomputeTarget builds them, so export →
 // restore reproduces the layer bit-for-bit.
 type RawTargetFeatures struct {
 	MaxValues int

@@ -75,27 +75,27 @@ type AttrMatcher interface {
 	// meaningless neutral score.
 	Applicable(src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string) bool
 	// Score returns the raw similarity of src.srcAttr and tgt.tgtAttr.
-	// Column-derived features are memoized in cache (never nil), which
-	// makes standard matching linear rather than quadratic in column
-	// scans: one source column is scored against every target attribute.
+	// Column-derived features come from cache (never nil): target
+	// columns from its prepared layer, source columns memoized on first
+	// use, which makes standard matching linear rather than quadratic in
+	// column scans: one source column is scored against every target
+	// attribute.
 	Score(cache *FeatureCache, src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string) float64
 }
 
 // FeatureCache memoizes per-column derived features — interned-gram ID
 // vectors, numeric slices, attribute-name gram vectors — keyed by table
 // identity and attribute. A Bound owns one for the lifetime of a
-// matching run; it is not safe for concurrent use. An optional shared
+// matching run; it is not safe for concurrent use. The shared
 // TargetFeatures layer — immutable, so safe to read from many caches at
 // once — answers target-column lookups without rescanning the catalog
 // and supplies the frozen gram dictionary; grams outside the dictionary
-// get per-column overflow IDs (see tokenize.VectorBuilder). Without a
-// shared layer the cache interns into a private building dictionary.
+// get per-column overflow IDs (see tokenize.VectorBuilder).
 //
 // Caches are pooled: Bind acquires one and Bound.Release returns it, so
 // the steady-state prepared hot path reuses the maps instead of
 // reallocating them per request.
 type FeatureCache struct {
-	dict    *tokenize.Dict
 	shared  *TargetFeatures
 	builder *tokenize.VectorBuilder
 	ngrams  map[colKey]*tokenize.IDVector
@@ -156,10 +156,9 @@ type colKey struct {
 	attr string
 }
 
-// NewFeatureCache returns an empty cache with a private building
-// dictionary.
-func NewFeatureCache() *FeatureCache {
-	c := &FeatureCache{
+// featureCachePool recycles caches between Bind calls; see Bound.Release.
+var featureCachePool = sync.Pool{New: func() any {
+	return &FeatureCache{
 		builder:   tokenize.NewVectorBuilder(),
 		ngrams:    map[colKey]*tokenize.IDVector{},
 		numbers:   map[colKey][]float64{},
@@ -169,23 +168,13 @@ func NewFeatureCache() *FeatureCache {
 		segs:      map[colKey]*colSegments{},
 		hists:     map[histKey][]float64{},
 	}
-	c.dict = tokenize.NewDict()
-	return c
-}
-
-// featureCachePool recycles caches between Bind calls; see Bound.Release.
-var featureCachePool = sync.Pool{New: func() any { return NewFeatureCache() }}
+}}
 
 // acquireFeatureCache returns a pooled cache wired to the shared feature
-// layer (nil for a private cache with a fresh building dictionary).
+// layer.
 func acquireFeatureCache(tf *TargetFeatures) *FeatureCache {
 	c := featureCachePool.Get().(*FeatureCache)
 	c.shared = tf
-	if tf != nil {
-		c.dict = tf.dict
-	} else {
-		c.dict = tokenize.NewDict()
-	}
 	return c
 }
 
@@ -201,7 +190,6 @@ func (c *FeatureCache) release() {
 	clear(c.hists)
 	c.noMemo = false
 	c.shared = nil
-	c.dict = nil
 	featureCachePool.Put(c)
 }
 
@@ -212,7 +200,7 @@ func (c *FeatureCache) release() {
 // configuration per engine.
 func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues int) *tokenize.IDVector {
 	key := colKey{t, attr}
-	if c.shared != nil && maxValues == c.shared.maxValues {
+	if maxValues == c.shared.maxValues {
 		if v, ok := c.shared.ngrams[key]; ok {
 			return v
 		}
@@ -222,19 +210,18 @@ func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues i
 	}
 	var vec *tokenize.IDVector
 	switch {
-	case c.shared != nil && c.shared.index != nil && c.dict.Frozen() &&
-		t.IsView() && len(t.Projection) == 0 &&
+	case c.shared.index != nil && t.IsView() && len(t.Projection) == 0 &&
 		len(t.Rows) > 0 && len(t.SelectedRows) == len(t.Rows):
 		// len(t.Rows) > 0 matters: a zero-row view has nil SelectedRows,
 		// which vectorFromSegments would otherwise read as "all rows".
 		vec = c.vectorFromSegments(t.Base, attr, maxValues, t.SelectedRows)
-	case c.shared != nil && c.shared.index != nil && c.dict.Frozen() && !t.IsView():
+	case c.shared.index != nil && !t.IsView():
 		// Base columns also assemble from their own segments: the
 		// column is tokenized once (segmentsFor) and both its aggregate
 		// vector and every view over it become integer passes.
 		vec = c.vectorFromSegments(t, attr, maxValues, nil)
 	default:
-		vec = buildColumnVector(c.builder, c.dict, t, attr, maxValues)
+		vec = buildColumnVector(c.builder, c.shared.dict, t, attr, maxValues)
 	}
 	c.ngrams[key] = vec
 	return vec
@@ -252,7 +239,7 @@ func (c *FeatureCache) segmentsFor(t *relational.Table, attr string) *colSegment
 	if s, ok := c.segs[key]; ok {
 		return s
 	}
-	segs := compileSegments(c.dict, t, attr)
+	segs := compileSegments(c.shared.dict, t, attr)
 	c.segs[key] = segs
 	return segs
 }
@@ -332,7 +319,7 @@ func (c *FeatureCache) vectorFromSegments(base *relational.Table, attr string, m
 	if selected == nil {
 		selected = c.allRows(len(segs.rows))
 	}
-	vec, touched := segs.vector(uint32(c.dict.Len()), selected, maxValues,
+	vec, touched := segs.vector(uint32(c.shared.dict.Len()), selected, maxValues,
 		c.slotCounts[:len(segs.ids)], c.slotTouched[:0])
 	c.slotTouched = touched[:0] // keep the grown capacity
 	return vec
@@ -401,10 +388,8 @@ func (segs *colSegments) vector(oovBase uint32, selected []int, maxValues int, c
 // (table, attribute).
 func (c *FeatureCache) Numeric(t *relational.Table, attr string) []float64 {
 	key := colKey{t, attr}
-	if c.shared != nil {
-		if v, ok := c.shared.numbers[key]; ok {
-			return v
-		}
+	if v, ok := c.shared.numbers[key]; ok {
+		return v
 	}
 	if v, ok := c.numbers[key]; ok {
 		return v
@@ -424,14 +409,12 @@ func (c *FeatureCache) Numeric(t *relational.Table, attr string) []float64 {
 // rescan per call, measuring the baseline §2.3 loop faithfully.
 func (c *FeatureCache) NumericRange(t *relational.Table, attr string) (lo, hi float64) {
 	key := colKey{t, attr}
-	if c.shared != nil {
-		if r, ok := c.shared.numRanges[key]; ok {
-			return r[0], r[1]
-		}
-		if c.shared.index == nil {
-			r := numericRange(c.Numeric(t, attr))
-			return r[0], r[1]
-		}
+	if r, ok := c.shared.numRanges[key]; ok {
+		return r[0], r[1]
+	}
+	if c.shared.index == nil {
+		r := numericRange(c.Numeric(t, attr))
+		return r[0], r[1]
 	}
 	if r, ok := c.numRanges[key]; ok {
 		return r[0], r[1]
@@ -470,15 +453,13 @@ func (c *FeatureCache) Histogram(t *relational.Table, attr string, lo, hi float6
 // computed at most once per distinct name, so the name matcher stops
 // re-tokenizing the same identifiers for every scored pair.
 func (c *FeatureCache) NameVector(name string) *tokenize.IDVector {
-	if c.shared != nil {
-		if v, ok := c.shared.names[name]; ok {
-			return v
-		}
+	if v, ok := c.shared.names[name]; ok {
+		return v
 	}
 	if v, ok := c.names[name]; ok {
 		return v
 	}
-	c.builder.AddTrigrams(c.dict, name)
+	c.builder.AddTrigrams(c.shared.dict, name)
 	v := c.builder.Build()
 	c.names[name] = v
 	return v
@@ -495,7 +476,7 @@ func (c *FeatureCache) NameVector(name string) *tokenize.IDVector {
 // dot product in the merge walk's own summation order, and columns
 // sharing no gram score exactly 0 either way.
 func (c *FeatureCache) NGramCosine(src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string, maxValues int) float64 {
-	if c.shared != nil && c.shared.index != nil && maxValues == c.shared.maxValues {
+	if c.shared.index != nil && maxValues == c.shared.maxValues {
 		if ci, ok := c.shared.colDense[colKey{tgt, tgtAttr}]; ok {
 			return c.scoreRow(src, srcAttr, maxValues)[ci]
 		}
@@ -596,32 +577,21 @@ type Bound struct {
 
 type normStat struct{ mu, sigma float64 }
 
-// Bind precomputes normalization statistics for matching src against all
-// tables of tgt.
-func (e *Engine) Bind(src *relational.Table, tgt *relational.Schema) *Bound {
-	return e.BindWithFeatures(src, tgt, nil)
-}
-
-// BindWithFeatures is Bind with a precomputed target feature layer
-// (see PrecomputeTarget); tf may be nil or built for a different schema,
-// in which case its entries simply never hit. The normalization pass
-// still scans the source column features, which a long-lived Matcher
-// cannot reuse across different sources.
-func (e *Engine) BindWithFeatures(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures) *Bound {
-	return e.BindParallel(src, tgt, tf, 1)
-}
-
-// BindParallel is BindWithFeatures with the source-side work — column
+// Bind precomputes the §2.3 normalization statistics for matching src
+// against all tables of tgt. tf is tgt's prepared feature layer (see
+// PrecomputeTarget), whose dictionary must be frozen: target columns
+// are read from it and never rescanned, and source grams outside its
+// dictionary get per-column overflow IDs. The source-side work — column
 // feature extraction and per-(matcher, source attribute) normalization
-// — fanned across up to workers goroutines. Output is bit-identical to
-// the sequential bind at any worker count: each (matcher, attribute)
-// accumulation runs entirely inside one task, in target order.
+// — fans across up to workers goroutines. Output is bit-identical at
+// any worker count: each (matcher, attribute) accumulation runs
+// entirely inside one task, in target order.
 //
-// The parallel path requires a feature layer covering tgt (so the
-// normalization pass is read-only on the cache) and an engine whose
-// matchers touch only domain-appropriate cache accessors, as the
-// built-in suite does; otherwise workers degrade to 1.
-func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures, workers int) *Bound {
+// The parallel path requires tf to have been built for tgt under this
+// engine (so the normalization pass is read-only on the cache) and an
+// engine whose matchers touch only domain-appropriate cache accessors,
+// as the built-in suite does; otherwise workers degrade to 1.
+func (e *Engine) Bind(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures, workers int) *Bound {
 	b := &Bound{engine: e, src: src, tgt: tgt, cache: acquireFeatureCache(tf)}
 	for _, tt := range tgt.Tables {
 		for _, a := range tt.Attrs {
@@ -640,6 +610,13 @@ func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf 
 		b.normalizeSequential()
 	}
 	return b
+}
+
+// BindParallel is Bind under its former name, kept only because the
+// benchmark harness (perfbench/replay.go) calls it. Remove it with the
+// next change to perfbench.
+func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures, workers int) *Bound {
+	return e.Bind(src, tgt, tf, workers)
 }
 
 // normalizeSequential computes the §2.3 normalization statistics in
@@ -733,7 +710,8 @@ func (b *Bound) prewarmParallel(workers int) {
 	var builders sync.Pool
 	builders.New = func() any { return tokenize.NewVectorBuilder() }
 	ix := b.cache.shared.index
-	dictLen := uint32(b.cache.dict.Len())
+	dict := b.cache.shared.dict
+	dictLen := uint32(dict.Len())
 	allRows := b.cache.allRows(len(b.src.Rows))
 	ForEachIndex(len(attrs), workers, func(i int) {
 		builder := builders.Get().(*tokenize.VectorBuilder)
@@ -747,14 +725,14 @@ func (b *Bound) prewarmParallel(workers int) {
 				// row from them, so the normalization pass — and every
 				// candidate view over this column — stays read-only on
 				// the cache.
-				slots[i].segs = compileSegments(b.cache.dict, b.src, a.Name)
+				slots[i].segs = compileSegments(dict, b.src, a.Name)
 				slots[i].vec, _ = slots[i].segs.vector(dictLen, allRows,
 					b.cache.shared.maxValues,
 					make([]float64, len(slots[i].segs.ids)), nil)
 				slots[i].row = make([]float64, ix.Columns())
 				ix.ScoreColumns(slots[i].vec, slots[i].row)
 			} else {
-				slots[i].vec = buildColumnVector(builder, b.cache.dict, b.src, a.Name, b.cache.shared.maxValues)
+				slots[i].vec = buildColumnVector(builder, dict, b.src, a.Name, b.cache.shared.maxValues)
 			}
 		case relational.DomainNumber:
 			slots[i].nums = numericColumn(b.src, a.Name)
@@ -767,7 +745,7 @@ func (b *Bound) prewarmParallel(workers int) {
 			}
 		}
 		if _, ok := b.cache.shared.names[a.Name]; !ok {
-			builder.AddTrigrams(b.cache.dict, a.Name)
+			builder.AddTrigrams(dict, a.Name)
 			slots[i].name = builder.Build()
 		}
 	})
@@ -876,11 +854,7 @@ func (b *Bound) Score(srcView *relational.Table, srcAttr string, tgtTable, tgtAt
 		}
 		applicable++
 		raw := m.Score(b.cache, srcView, srcAttr, tt, tgtAttr)
-		ns := b.norm[mi][srcAttr]
-		conf := stats.NormalCDF(raw, ns.mu, ns.sigma)
-		if b.engine.EvidenceScale > 0 {
-			conf *= 1 - math.Exp(-raw/b.engine.EvidenceScale)
-		}
+		conf := b.confidence(raw, b.norm[mi][srcAttr])
 		w := m.Weight()
 		totalScore += w * raw
 		totalConf += w * conf
@@ -964,7 +938,7 @@ func (b *Bound) Resolve(srcAttr, tgtTable, tgtAttr string) ResolvedPair {
 
 // confidence maps one matcher's raw score through its normalization
 // statistics (and the optional evidence discount) — the shared tail of
-// Score and ScoreResolved.
+// Score, ScoreResolved, Resolve and Explain.
 func (b *Bound) confidence(raw float64, ns normStat) float64 {
 	conf := stats.NormalCDF(raw, ns.mu, ns.sigma)
 	if b.engine.EvidenceScale > 0 {
@@ -1066,16 +1040,11 @@ func (b *Bound) Explain(srcView *relational.Table, srcAttr, tgtTable, tgtAttr st
 			continue
 		}
 		raw := m.Score(b.cache, srcView, srcAttr, tt, tgtAttr)
-		ns := b.norm[mi][srcAttr]
-		conf := stats.NormalCDF(raw, ns.mu, ns.sigma)
-		if b.engine.EvidenceScale > 0 {
-			conf *= 1 - math.Exp(-raw/b.engine.EvidenceScale)
-		}
 		out = append(out, Explanation{
 			Matcher:    m.Name(),
 			Weight:     m.Weight(),
 			Raw:        raw,
-			Confidence: conf,
+			Confidence: b.confidence(raw, b.norm[mi][srcAttr]),
 		})
 	}
 	return out

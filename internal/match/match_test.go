@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ctxmatch/internal/relational"
+	"ctxmatch/internal/tokenize"
 )
 
 var bookWords = []string{"heart", "darkness", "leaves", "grass", "history", "novel",
@@ -82,9 +83,40 @@ func fixture(rng *rand.Rand, n int) (src *relational.Table, tgt *relational.Sche
 	return src, relational.NewSchema("RT", book, music)
 }
 
+// frozenLayer builds e's feature layer over tgt and freezes its
+// dictionary, the state Bind requires.
+func frozenLayer(e *Engine, tgt *relational.Schema) *TargetFeatures {
+	d := tokenize.NewDict()
+	tf := e.PrecomputeTarget(tgt, d, 1)
+	d.Freeze()
+	return tf
+}
+
+// bind binds src to tgt over a fresh frozen layer of tgt.
+func bind(e *Engine, src *relational.Table, tgt *relational.Schema) *Bound {
+	return e.Bind(src, tgt, frozenLayer(e, tgt), 1)
+}
+
+// testCache returns a feature cache over a frozen layer of the given
+// tables, released when the test ends. Every table a test scores on
+// the target side of a pair must be among them. Grams outside the
+// dictionary get per-build overflow IDs counted from its end, so two
+// vectors that both carry such grams collide; production never
+// compares two of them, because the target side is always interned,
+// and the tests must not either.
+func testCache(t testing.TB, tables ...*relational.Table) *FeatureCache {
+	c := acquireFeatureCache(frozenLayer(NewEngine(), relational.NewSchema("layer", tables...)))
+	t.Cleanup(c.release)
+	return c
+}
+
 func TestNameMatcher(t *testing.T) {
 	m := NameMatcher{W: 1}
-	c := NewFeatureCache()
+	var attrs []relational.Attribute
+	for _, n := range []string{"title", "isbn", "zzz", "price", "prices", "label"} {
+		attrs = append(attrs, relational.Attribute{Name: n, Type: relational.Text})
+	}
+	c := testCache(t, relational.NewTable("names", attrs...))
 	if got := m.Score(c, nil, "title", nil, "title"); got != 1 {
 		t.Errorf("identical names score %v, want 1", got)
 	}
@@ -106,23 +138,24 @@ func TestValueNGramMatcher(t *testing.T) {
 	src, tgt := fixture(rng, 100)
 	m := ValueNGramMatcher{W: 1}
 	book := tgt.Table("book")
-	selfish := m.Score(NewFeatureCache(), src, "name", src, "name")
+	c := testCache(t, src, book)
+	selfish := m.Score(c, src, "name", src, "name")
 	if selfish < 0.99 {
 		t.Errorf("self-similarity = %v, want ≈1", selfish)
 	}
-	titleScore := m.Score(NewFeatureCache(), src, "name", book, "title")
-	isbnScore := m.Score(NewFeatureCache(), src, "name", book, "isbn")
+	titleScore := m.Score(c, src, "name", book, "title")
+	isbnScore := m.Score(c, src, "name", book, "isbn")
 	if titleScore <= isbnScore {
 		t.Errorf("name~title (%v) should beat name~isbn (%v)", titleScore, isbnScore)
 	}
 	// Numeric column pairs are out of scope for this matcher.
-	if got := m.Score(NewFeatureCache(), src, "price", book, "price"); got != 0 {
+	if got := m.Score(c, src, "price", book, "price"); got != 0 {
 		t.Errorf("numeric pair score = %v, want 0", got)
 	}
-	if got := m.Score(NewFeatureCache(), src, "name", book, "price"); got != 0 {
+	if got := m.Score(c, src, "name", book, "price"); got != 0 {
 		t.Errorf("cross-domain score = %v, want 0", got)
 	}
-	if got := m.Score(NewFeatureCache(), src, "missing", book, "title"); got != 0 {
+	if got := m.Score(c, src, "missing", book, "title"); got != 0 {
 		t.Errorf("missing attr score = %v, want 0", got)
 	}
 }
@@ -131,8 +164,8 @@ func TestValueNGramMatcherMaxValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src, tgt := fixture(rng, 400)
 	book := tgt.Table("book")
-	full := ValueNGramMatcher{W: 1}.Score(NewFeatureCache(), src, "name", book, "title")
-	sampled := ValueNGramMatcher{W: 1, MaxValues: 50}.Score(NewFeatureCache(), src, "name", book, "title")
+	full := ValueNGramMatcher{W: 1}.Score(testCache(t, src, book), src, "name", book, "title")
+	sampled := ValueNGramMatcher{W: 1, MaxValues: 50}.Score(testCache(t, src, book), src, "name", book, "title")
 	if sampled == 0 {
 		t.Fatal("sampled score should not vanish")
 	}
@@ -146,23 +179,24 @@ func TestNumericMatcher(t *testing.T) {
 	src, tgt := fixture(rng, 200)
 	m := NumericMatcher{W: 1}
 	book, music := tgt.Table("book"), tgt.Table("music")
+	c := testCache(t, book, music)
 	// Source price mixes both populations; book price (mean 25) should
 	// still be discriminated from music price (mean 10) when the source
 	// is restricted to books.
 	bookView := src.Select("V1", relational.Eq{Attr: "type", Value: relational.I(1)})
-	toBook := m.Score(NewFeatureCache(), bookView, "price", book, "price")
-	toMusic := m.Score(NewFeatureCache(), bookView, "price", music, "price")
+	toBook := m.Score(c, bookView, "price", book, "price")
+	toMusic := m.Score(c, bookView, "price", music, "price")
 	if toBook <= toMusic {
 		t.Errorf("restricted price should match book (%v) over music (%v)", toBook, toMusic)
 	}
-	if got := m.Score(NewFeatureCache(), src, "name", book, "price"); got != 0 {
+	if got := m.Score(c, src, "name", book, "price"); got != 0 {
 		t.Errorf("string-numeric pair = %v, want 0", got)
 	}
-	if got := m.Score(NewFeatureCache(), src, "price", book, "title"); got != 0 {
+	if got := m.Score(c, src, "price", book, "title"); got != 0 {
 		t.Errorf("numeric-string pair = %v, want 0", got)
 	}
 	empty := relational.NewTable("e", relational.Attribute{Name: "x", Type: relational.Real})
-	if got := m.Score(NewFeatureCache(), empty, "x", book, "price"); got != 0 {
+	if got := m.Score(c, empty, "x", book, "price"); got != 0 {
 		t.Errorf("empty column = %v, want 0", got)
 	}
 }
@@ -178,9 +212,11 @@ func TestNumericMatcherScaleSensitivity(t *testing.T) {
 	}
 	m := NumericMatcher{W: 1}
 	same := mk(10, 2)
-	sameDist := m.Score(NewFeatureCache(), same, "x", mk(10, 2), "x")
-	diffScale := m.Score(NewFeatureCache(), same, "x", mk(10, 20), "x")
-	diffMean := m.Score(NewFeatureCache(), same, "x", mk(100, 2), "x")
+	sameT, scaleT, meanT := mk(10, 2), mk(10, 20), mk(100, 2)
+	c := testCache(t, sameT, scaleT, meanT)
+	sameDist := m.Score(c, same, "x", sameT, "x")
+	diffScale := m.Score(c, same, "x", scaleT, "x")
+	diffMean := m.Score(c, same, "x", meanT, "x")
 	if sameDist <= diffScale || sameDist <= diffMean {
 		t.Errorf("same=%v should beat diffScale=%v and diffMean=%v", sameDist, diffScale, diffMean)
 	}
@@ -193,16 +229,17 @@ func TestTypeMatcher(t *testing.T) {
 		relational.Attribute{Name: "s", Type: relational.String},
 	)
 	m := TypeMatcher{W: 1}
-	if got := m.Score(NewFeatureCache(), a, "i", a, "i"); got != 1 {
+	c := testCache(t, a)
+	if got := m.Score(c, a, "i", a, "i"); got != 1 {
 		t.Errorf("same type = %v", got)
 	}
-	if got := m.Score(NewFeatureCache(), a, "i", a, "r"); got != 0.5 {
+	if got := m.Score(c, a, "i", a, "r"); got != 0.5 {
 		t.Errorf("same domain = %v", got)
 	}
-	if got := m.Score(NewFeatureCache(), a, "i", a, "s"); got != 0 {
+	if got := m.Score(c, a, "i", a, "s"); got != 0 {
 		t.Errorf("cross domain = %v", got)
 	}
-	if got := m.Score(NewFeatureCache(), a, "zz", a, "i"); got != 0 {
+	if got := m.Score(c, a, "zz", a, "i"); got != 0 {
 		t.Errorf("missing attr = %v", got)
 	}
 }
@@ -210,7 +247,7 @@ func TestTypeMatcher(t *testing.T) {
 func TestStandardMatchesFindCorrectPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src, tgt := fixture(rng, 200)
-	b := NewEngine().Bind(src, tgt)
+	b := bind(NewEngine(), src, tgt)
 	// τ=0.25: the mixed code column scores below 0.5 confidence against
 	// isbn (the false-negative effect of §3 that motivates reducing τ).
 	matches := b.StandardMatches(0.25)
@@ -243,7 +280,7 @@ func TestStandardMatchesFindCorrectPairs(t *testing.T) {
 func TestStandardMatchesTauFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	src, tgt := fixture(rng, 100)
-	b := NewEngine().Bind(src, tgt)
+	b := bind(NewEngine(), src, tgt)
 	loose := b.StandardMatches(0.1)
 	tight := b.StandardMatches(0.9)
 	if len(tight) >= len(loose) {
@@ -266,7 +303,7 @@ func TestStandardMatchesTauFilters(t *testing.T) {
 func TestViewRescoringImprovesConditionedMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src, tgt := fixture(rng, 300)
-	b := NewEngine().Bind(src, tgt)
+	b := bind(NewEngine(), src, tgt)
 
 	_, baseConf := b.Score(src, "code", "book", "isbn")
 	bookView := src.Select("V1", relational.Eq{Attr: "type", Value: relational.I(1)})
@@ -286,7 +323,7 @@ func TestViewRescoringImprovesConditionedMatch(t *testing.T) {
 func TestScoreMissingTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	src, tgt := fixture(rng, 50)
-	b := NewEngine().Bind(src, tgt)
+	b := bind(NewEngine(), src, tgt)
 	if _, conf := b.Score(src, "code", "nope", "isbn"); conf != 0 {
 		t.Error("missing target table should score 0")
 	}
@@ -349,7 +386,7 @@ func TestBoundAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src, tgt := fixture(rng, 10)
 	e := NewEngine()
-	b := e.Bind(src, tgt)
+	b := bind(e, src, tgt)
 	if b.Source() != src || b.TargetSchema() != tgt || b.Engine() != e {
 		t.Error("accessors broken")
 	}

@@ -32,7 +32,7 @@ func (tf *TargetFeatures) CanUpdate() bool {
 // their gram vectors are replayed into the fresh dictionary d through
 // the recorded per-column merge order, so the dictionary's ID
 // assignment — and therefore every vector, name vector and the rebuilt
-// candidate index — is bit-identical to what PrecomputeTargetParallel
+// candidate index — is bit-identical to what PrecomputeTarget
 // would produce from scratch over updated. Touched columns fan across
 // up to workers goroutines exactly like a fresh build.
 //

@@ -63,7 +63,7 @@ func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
 			e := NewEngine()
 			e.Exhaustive = exhaustive
 			base, updated, touched := updateFixture()
-			old := e.PrecomputeTargetParallel(base, tokenize.NewDict(), workers)
+			old := e.PrecomputeTarget(base, tokenize.NewDict(), workers)
 			if !old.CanUpdate() {
 				t.Fatal("fresh build lost its merge provenance")
 			}
@@ -73,7 +73,7 @@ func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
 			if TargetUpdates() != before+1 {
 				t.Error("TargetUpdates did not advance")
 			}
-			want := e.PrecomputeTargetParallel(updated, tokenize.NewDict(), workers)
+			want := e.PrecomputeTarget(updated, tokenize.NewDict(), workers)
 
 			if !reflect.DeepEqual(got.ngrams, want.ngrams) {
 				t.Errorf("exhaustive=%v workers=%d: ngrams diverge", exhaustive, workers)
@@ -134,7 +134,7 @@ func TestCanUpdate(t *testing.T) {
 	}
 	e := NewEngine()
 	base, _, _ := updateFixture()
-	if !e.PrecomputeTargetParallel(base, tokenize.NewDict(), 2).CanUpdate() {
+	if !e.PrecomputeTarget(base, tokenize.NewDict(), 2).CanUpdate() {
 		t.Error("fresh parallel build not updatable")
 	}
 }
@@ -144,7 +144,7 @@ func TestCanUpdate(t *testing.T) {
 func TestUpdateTargetFeaturesNilSchema(t *testing.T) {
 	e := NewEngine()
 	base, _, _ := updateFixture()
-	old := e.PrecomputeTargetParallel(base, tokenize.NewDict(), 1)
+	old := e.PrecomputeTarget(base, tokenize.NewDict(), 1)
 	tf := e.UpdateTargetFeatures(old, nil, tokenize.NewDict(), func(*relational.Table) bool { return false }, 1)
 	if tf.Columns() != 0 {
 		t.Errorf("nil schema produced %d columns", tf.Columns())

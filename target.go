@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"ctxmatch/internal/core"
+	"ctxmatch/internal/match"
 )
 
 // Target is a prepared-target session handle: one curated target
@@ -206,27 +206,14 @@ func (t *Target) MatchAll(ctx context.Context, sources []*Schema) ([]*Result, er
 	prep := t.prep.WithParallelism(inner)
 
 	errs := make([]error, len(sources))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cr, err := core.ContextMatchPrepared(ctx, sources[i], prep)
-				if err != nil {
-					errs[i] = &SourceError{Index: i, Schema: schemaName(sources[i]), Err: err}
-					continue
-				}
-				results[i] = newResult(cr)
-			}
-		}()
-	}
-	for i := range sources {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	match.ForEachIndex(len(sources), outer, func(i int) {
+		cr, err := core.ContextMatchPrepared(ctx, sources[i], prep)
+		if err != nil {
+			errs[i] = &SourceError{Index: i, Schema: schemaName(sources[i]), Err: err}
+			return
+		}
+		results[i] = newResult(cr)
+	})
 
 	var joined []error
 	for _, err := range errs {
